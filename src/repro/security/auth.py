@@ -112,16 +112,23 @@ class PasswordVault:
         self._lock = threading.Lock()
         self._decoy: Optional[str] = None  # lazily built; see _decoy_record
 
-    def set_password(self, user_id: str, password: str, confirmation: str) -> None:
-        """The Figure 4 create-password flow: Match? then Strong? then store."""
+    def set_password(self, user_id: str, password: str, confirmation: str) -> str:
+        """The Figure 4 create-password flow: Match? then Strong? then store.
+
+        Returns the ``salt$hash`` record stored, so a caller persisting it
+        elsewhere need not hash again.  Like :meth:`login`, the PBKDF2 run
+        happens outside the vault lock.
+        """
         if password != confirmation:
             raise AuthError("passwords do not match")
         problems = self.policy.problems(password)
         if problems:
             raise AuthError("weak password: " + "; ".join(problems))
+        stored = hash_password(password)
         with self._lock:
-            self._records[user_id] = hash_password(password)
+            self._records[user_id] = stored
             self._failures.pop(user_id, None)
+        return stored
 
     def has_password(self, user_id: str) -> bool:
         with self._lock:

@@ -77,6 +77,8 @@ class ViewState:
 class Session:
     """One user's server-side state bag with last-access tracking."""
 
+    __slots__ = ("id", "created", "last_access", "_data", "_lock")
+
     def __init__(self, session_id: str, created: float) -> None:
         self.id = session_id
         self.created = created
@@ -109,10 +111,16 @@ class Session:
             return key in self._data
 
 
+#: :meth:`SessionManager.create` sweeps expired sessions every this many calls.
+SWEEP_INTERVAL = 256
+
+
 class SessionManager:
     """Issues, resolves, expires sessions (sliding window).
 
     ``clock`` is injectable so expiry is testable without sleeping.
+    Expired sessions are reclaimed by an amortized sweep every
+    :data:`SWEEP_INTERVAL` creations, not only when presented again.
     """
 
     COOKIE_NAME = "SESSIONID"
@@ -127,12 +135,17 @@ class SessionManager:
         self.timeout = timeout_seconds
         self._clock = clock
         self._sessions: dict[str, Session] = {}
+        self._created_since_sweep = 0
         self._lock = threading.Lock()
 
     def create(self) -> Session:
         session_id = secrets.token_urlsafe(18)
-        session = Session(session_id, self._clock())
+        now = self._clock()
+        session = Session(session_id, now)
         with self._lock:
+            self._created_since_sweep += 1
+            if self._created_since_sweep >= SWEEP_INTERVAL:
+                self._sweep_locked(now)
             self._sessions[session_id] = session
         return session
 
@@ -165,18 +178,22 @@ class SessionManager:
         with self._lock:
             self._sessions.pop(session_id, None)
 
+    def _sweep_locked(self, now: float) -> int:
+        dead = [
+            sid
+            for sid, session in self._sessions.items()
+            if now - session.last_access > self.timeout
+        ]
+        for sid in dead:
+            del self._sessions[sid]
+        self._created_since_sweep = 0
+        return len(dead)
+
     def sweep(self) -> int:
         """Remove expired sessions; returns how many were evicted."""
         now = self._clock()
         with self._lock:
-            dead = [
-                sid
-                for sid, session in self._sessions.items()
-                if now - session.last_access > self.timeout
-            ]
-            for sid in dead:
-                del self._sessions[sid]
-            return len(dead)
+            return self._sweep_locked(now)
 
     def active_count(self) -> int:
         with self._lock:

@@ -14,6 +14,10 @@ gateway.
    the lock (with a double-checked record re-read) and burning a decoy
    verification for unknown users.
 
+3. ``PasswordVault.set_password`` hashed while holding the same lock, so
+   concurrent password creations ran one at a time.  Fixed by hashing
+   first and taking the lock only to store the record.
+
 Each test here fails against the pre-fix implementations.
 """
 
@@ -128,6 +132,35 @@ class TestConcurrentLogin:
                 t.join(timeout=10.0)
         assert results == {"ada": True, "bob": True}
         assert not inside.broken, "logins were serialized under the vault lock"
+
+    def test_password_creations_hash_concurrently_not_serialized(self):
+        """Pre-fix, ``set_password`` hashed under the vault lock: the
+        second creation waited for the first, and the barrier breaks."""
+        vault = PasswordVault()
+        inside = threading.Barrier(2, timeout=5.0)
+        stored = {}
+        real_hash = auth_module.hash_password
+
+        def rendezvous_hash(password, salt=None):
+            inside.wait()  # both threads must be hashing simultaneously
+            return real_hash(password, salt)
+
+        def create(user):
+            stored[user] = vault.set_password(user, PASSWORD, PASSWORD)
+
+        with mock.patch.object(auth_module, "hash_password", rendezvous_hash):
+            threads = [
+                threading.Thread(target=create, args=(u,)) for u in ("ada", "bob")
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10.0)
+        assert not inside.broken, "password creations were serialized under the vault lock"
+        assert sorted(stored) == ["ada", "bob"]
+        for user, record in stored.items():
+            assert auth_module.verify_password(PASSWORD, record)
+            assert vault.login(user, PASSWORD)
 
     def test_failure_count_survives_concurrent_hashing(self):
         vault = PasswordVault(max_failures=3)

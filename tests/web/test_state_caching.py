@@ -11,6 +11,7 @@ from repro.web import (
     ViewState,
     ViewStateError,
 )
+from repro.web.state import SWEEP_INTERVAL
 
 
 class TestViewState:
@@ -107,6 +108,17 @@ class TestSessionManager:
         assert manager.sweep() == 2
         assert manager.active_count() == 1
         assert manager.resolve(live.id) is live
+
+    def test_create_sweeps_expired_sessions_never_presented_again(self):
+        manager = self.make(timeout=10)
+        for _ in range(SWEEP_INTERVAL):
+            manager.create()
+        self.clock["t"] = 11  # every session so far has expired
+        for _ in range(SWEEP_INTERVAL):
+            manager.create()
+        # no old session was resolved again: only the amortized sweep
+        # could have dropped them (without it the map holds both rounds)
+        assert manager.active_count() == SWEEP_INTERVAL
 
     def test_session_data_operations(self):
         manager = self.make()
