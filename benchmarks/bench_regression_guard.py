@@ -55,6 +55,9 @@ DRIFT_TOLERANCE = 0.25  # max relative change of a row's bare-normalised factor
 #: cache bench normalises by its uncached tf-idf search, so its guarded
 #: factors are the relative cost of a cache-aside hit and of a wire
 #: revalidation — losing the cache-aside speedup is what trips it.
+#: The xmlkit bench normalises by its 128 B encode+decode round trip, so
+#: its guarded factors are the cost of a large message relative to a
+#: small one: a per-byte Python cost coming back is what trips it.
 GUARDED = (
     ("bench_resilience_overhead.py", "BENCH_resilience.json", "bare_bus"),
     ("bench_observability_overhead.py", "BENCH_observability.json", "bare_bus"),
@@ -64,6 +67,7 @@ GUARDED = (
     ("bench_profiling.py", "BENCH_profiling.json", "profiler_off"),
     ("bench_trace_export.py", "BENCH_trace_export.json", "tracing_only"),
     ("bench_cache.py", "BENCH_cache.json", "uncached"),
+    ("bench_xmlkit.py", "BENCH_xmlkit.json", "round_trip_128"),
 )
 
 

@@ -28,8 +28,10 @@ from repro.observability.trace import SpanCollector
 from repro.replication.publish import publish_replicated
 from repro.security.access import AccessControl
 from repro.security.auth import PasswordVault, TokenIssuer
+from repro.services import CacheService
 from repro.transport.httpserver import HttpClient
 from repro.transport.rest import RestClient
+from repro.xmlkit import loads
 
 PASSWORD = "Correct-Horse-7"
 
@@ -287,3 +289,25 @@ class TestGatewayTelemetry:
         response = client.get("/healthz")
         assert response.status == 503  # the /ghost route's backend is absent
         assert "backends" in response.text()
+
+
+class TestCharacterReferences:
+    def test_lone_surrogate_reference_is_400_not_500(self):
+        broker = ServiceBroker()
+        with publish_replicated(CacheService, broker, replicas=1):
+            with Gateway(broker, [GatewayRoute("/pub/Cache", "CacheService")]) as gw:
+                client = HttpClient(gw.server.host, gw.server.port)
+                try:
+                    response = client.post(
+                        "/pub/Cache/put",
+                        '<arguments><key type="string">k</key>'
+                        '<value type="string">a&#xD800;b</value></arguments>',
+                        content_type="application/xml",
+                    )
+                    assert response.status == 400, response.text()
+                    assert "bad character reference" in response.text()
+                    response = client.get("/pub/Cache/get?key=k")
+                    assert response.status == 200
+                    assert loads(response.text())["found"] is False
+                finally:
+                    client.close()

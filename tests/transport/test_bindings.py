@@ -15,6 +15,7 @@ from repro.core import (
     UnknownOperation,
     operation,
 )
+from repro.services import CacheService
 from repro.transport import (
     HttpRequest,
     HttpResponse,
@@ -29,7 +30,7 @@ from repro.transport import (
     serve_once,
 )
 from repro.transport.soap import build_fault, build_result
-from repro.xmlkit import parse
+from repro.xmlkit import from_element, parse
 
 
 class Bank(Service):
@@ -287,6 +288,35 @@ class TestCoercion:
             coerce_argument("maybe", "bool")
         with pytest.raises(ValueError):
             coerce_argument("x", "dict")
+
+
+class TestRestCharacterReferences:
+    """A lone-surrogate character reference is a client error, not data."""
+
+    BODY = (
+        '<arguments><key type="string">k</key>'
+        '<value type="string">a&#xD800;b</value></arguments>'
+    )
+
+    def test_put_is_refused_and_stores_nothing(self):
+        service = CacheService()
+        endpoint = RestEndpoint()
+        endpoint.mount(ServiceHost(service))
+        response = serve_once(
+            endpoint,
+            HttpRequest(
+                "POST", "/rest/CacheService/put",
+                {"Content-Type": "application/xml"}, self.BODY.encode(),
+            ),
+        )
+        assert response.status == 400
+        assert parse(response.text()).get("code") == "Client.BadRequest"
+        assert len(service.cache) == 0
+        response = serve_once(
+            endpoint, HttpRequest("GET", "/rest/CacheService/get?key=k")
+        )
+        assert response.status == 200
+        assert from_element(parse(response.text()))["found"] is False
 
 
 class TestRestRouter:

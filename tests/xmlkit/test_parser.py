@@ -12,7 +12,7 @@ from repro.xmlkit import (
     parse_document,
     parse_events,
 )
-from repro.xmlkit.parser import Characters, EndElement, StartElement
+from repro.xmlkit.parser import Characters, EndElement, PIEvent, StartElement
 
 
 class TestBasicParsing:
@@ -116,6 +116,96 @@ class TestEntities:
     def test_bad_character_reference_rejected(self):
         with pytest.raises(XMLSyntaxError):
             parse("<a>&#xZZ;</a>")
+
+
+class TestStrictCharacterReferences:
+    """Character references follow the grammar and the ``Char`` range."""
+
+    @pytest.mark.parametrize(
+        "reference",
+        [
+            "&#+65;",  # int() would take a sign ...
+            "&# 65;",  # ... surrounding whitespace ...
+            "&#6_5;",  # ... digit separators ...
+            "&#\u0666\u0665;",  # ... and non-ASCII digits
+            "&#X41;",  # the hex marker is a lowercase 'x'
+            "&#;",
+            "&#x;",
+            "&#0;",  # below #x20, only tab, newline and CR are characters
+            "&#1;",
+            "&#x1F;",
+            "&#xD800;",  # a lone surrogate cannot be UTF-8 encoded
+            "&#xDFFF;",
+            "&#xFFFE;",
+            "&#xFFFF;",
+            "&#x110000;",
+            "&#99999999999999999999;",
+        ],
+    )
+    @pytest.mark.parametrize("template", ["<a>{}</a>", '<a v="{}"/>'])
+    def test_rejected(self, reference, template):
+        with pytest.raises(XMLSyntaxError, match="bad character reference"):
+            parse(template.format(reference))
+
+    def test_error_names_the_reference_and_its_place(self):
+        with pytest.raises(XMLSyntaxError) as caught:
+            parse("<a>\nok &#xD800; tail</a>")
+        assert str(caught.value) == (
+            "bad character reference &#xD800; (line 2, column 17)"
+        )
+
+    @pytest.mark.parametrize(
+        "reference,char",
+        [
+            ("&#9;", "\t"),
+            ("&#xA;", "\n"),
+            ("&#13;", "\r"),
+            ("&#x20;", " "),
+            ("&#x0041;", "A"),
+            ("&#00065;", "A"),
+            ("&#xd7ff;", "\ud7ff"),
+            ("&#xE000;", "\ue000"),
+            ("&#xFFFD;", "\ufffd"),
+            ("&#x10000;", "\U00010000"),
+            ("&#1114111;", "\U0010ffff"),
+        ],
+    )
+    def test_accepted_at_the_edges_of_the_range(self, reference, char):
+        assert parse(f"<a>{reference}</a>").text == char
+        assert parse(f'<a v="{reference}"/>')["v"] == char
+
+
+class TestProcessingInstructionBeforeRoot:
+    """Only ``<?xml`` followed by whitespace is the XML declaration."""
+
+    STYLED = '<?xml-stylesheet href="a.xsl" type="text/xsl"?><r/>'
+
+    def test_stylesheet_pi_lands_in_the_prolog(self):
+        doc = parse_document(self.STYLED)
+        assert doc.declaration is None
+        assert [(n.target, n.data) for n in doc.prolog] == [
+            ("xml-stylesheet", 'href="a.xsl" type="text/xsl"')
+        ]
+        assert doc.toxml() == self.STYLED
+
+    def test_stylesheet_pi_is_an_event(self):
+        events = list(parse_events(self.STYLED))
+        assert isinstance(events[0], PIEvent)
+        assert (events[0].target, events[0].line, events[0].column) == (
+            "xml-stylesheet", 1, 1,
+        )
+
+    def test_declaration_then_stylesheet(self):
+        text = '<?xml version="1.0"?>\n<?xml-stylesheet href="a.xsl"?><r/>'
+        doc = parse_document(text)
+        assert doc.declaration == {"version": "1.0"}
+        assert [n.target for n in doc.prolog] == ["xml-stylesheet"]
+        assert doc.toxml() == text.replace("\n", "")
+
+    def test_declaration_followed_by_any_whitespace(self):
+        doc = parse_document('<?xml\tversion="1.0"?><r/>')
+        assert doc.declaration == {"version": "1.0"}
+        assert doc.prolog == []
 
 
 class TestWellFormednessErrors:
