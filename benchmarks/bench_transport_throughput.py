@@ -6,7 +6,7 @@ The seed transport served each connection on its own thread but pushed
 N caller threads serialized on the wire no matter how parallel the
 server was.  The reworked transport keeps a pool of keep-alive sockets
 (:class:`~repro.transport.httpserver.HttpClient`) and a bounded worker
-pool fed by a readiness reactor (:class:`HttpServer`), so concurrent
+pool waiting on one epoll set (:class:`HttpServer`), so concurrent
 calls overlap end to end.
 
 This bench drives one shared client from ``THREADS`` threads against a
@@ -167,9 +167,9 @@ def test_pooled_transport_throughput(report):
 
 def test_worker_pool_bounds_threads(report):
     """Thread economics: many live keep-alive connections, bounded server
-    threads.  The seed spawned one thread per connection; the reactor
-    parks idle connections so the server's thread count stays at
-    ``workers`` + 2 regardless of connection count."""
+    threads.  The seed spawned one thread per connection; idle
+    connections wait armed in the epoll set, so the server's thread
+    count stays at ``workers`` + 2 regardless of connection count."""
     connections = 32
     with HttpServer(service_handler, workers=4) as server:
         before = threading.active_count()

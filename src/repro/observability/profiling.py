@@ -9,9 +9,10 @@ be targeted.  Zero-dependency, built on ``sys._current_frames()``:
   thread's Python stack at a configurable ``hz``, aggregating bounded
   *folded-stack* counts (``frame;frame;frame`` root-first, the collapsed
   format flamegraph tooling speaks).  Threads parked in well-known wait
-  frames (``threading.wait``, the selectors reactor, queue gets) fold
-  into a single ``(idle)`` bucket by default so hot stacks dominate the
-  report; ``include_idle=True`` keeps them verbatim.
+  frames (``threading.wait``, selectors, queue gets, ``HttpServer``
+  workers in their epoll wait) fold into a single ``(idle)`` bucket by
+  default so hot stacks dominate the report; ``include_idle=True`` keeps
+  them verbatim.
 * **span tagging** — while a profiler runs, a hook installed into
   :mod:`.trace` records the active span's route/operation per thread, so
   samples lead with a ``route:<target>`` segment and a folded stack
@@ -74,6 +75,7 @@ IDLE_LEAVES: frozenset[tuple[str, str]] = frozenset(
         ("queue.py", "get"),
         ("socket.py", "accept"),
         ("connection.py", "wait"),
+        ("httpserver.py", "_await_ready"),  # HttpServer workers, epoll wait
     }
 )
 

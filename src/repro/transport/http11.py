@@ -19,6 +19,7 @@ __all__ = [
     "HttpResponse",
     "bodyless_status",
     "content_length_of",
+    "keeps_alive",
     "parse_request",
     "parse_response",
     "parse_query_string",
@@ -335,6 +336,24 @@ def _body_with_length(headers: _Headers, body: bytes) -> bytes:
     if len(body) < length:
         raise HttpError("incomplete message: body shorter than Content-Length")
     return body[:length]
+
+
+def keeps_alive(version: str, headers: _Headers) -> bool:
+    """Does this message leave its connection open (RFC 7230 §6.1, §6.3)?
+
+    ``Connection`` is a case-insensitive, comma-separated token list that
+    may span several header lines: a ``close`` token anywhere ends the
+    connection.  Otherwise HTTP/1.1 is persistent by default, while an
+    HTTP/1.0 message is persistent only with a ``keep-alive`` token.
+    """
+    tokens = {
+        token.strip().lower()
+        for value in headers.get_all("Connection")
+        for token in value.split(",")
+    }
+    if "close" in tokens:
+        return False
+    return version != "HTTP/1.0" or "keep-alive" in tokens
 
 
 def parse_request(raw: bytes) -> HttpRequest:

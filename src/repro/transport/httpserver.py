@@ -1,7 +1,7 @@
 """Worker-pool socket HTTP server and pooled keep-alive client.
 
 A dependency-free web substrate built for concurrency: the server runs a
-*bounded worker pool* fed by a readiness reactor instead of spawning one
+*bounded worker pool* over one kernel wait set instead of spawning one
 thread per connection, and the client keeps a *pool* of keep-alive
 sockets instead of serializing every caller on one global lock.  It
 hosts any *handler* — a callable ``HttpRequest -> HttpResponse`` — so
@@ -9,17 +9,23 @@ the SOAP endpoint, REST endpoint, web application framework, the service
 directory and the fleet monitor all ride the same substrate, as they did
 on the paper's IIS deployment.
 
-Server architecture (three kinds of threads, all daemonic):
+Server architecture (Linux only — it waits on ``select.epoll``; three
+kinds of threads, all daemonic):
 
-* the **accept thread** accepts sockets and parks them with the reactor;
-* the **reactor thread** watches parked (idle keep-alive) connections
-  with a ``selectors`` selector and moves a connection into the bounded
-  *ready queue* the moment request bytes arrive — so an idle connection
-  never pins a worker, and a slow-loris peer occupies a selector slot,
-  not a thread;
-* ``workers`` **worker threads** pop ready connections, read exactly as
-  many pipelined requests as are already buffered, dispatch, respond,
-  and park the connection again.
+* the **accept thread** accepts sockets and arms each one in the
+  server's epoll set as ``EPOLLIN | EPOLLONESHOT``;
+* ``workers`` **worker threads** all wait in that one set.  The kernel
+  wakes exactly one worker per readable connection and disarms the
+  connection, so that worker owns it with no hand-off: it reads exactly
+  as many pipelined requests as are already buffered, dispatches,
+  responds, and re-arms the connection with a single ``epoll_ctl``.  An
+  idle keep-alive connection costs an armed slot in the set, not a
+  thread, and a slow-loris peer cannot pin a worker between requests;
+* the **overflow thread** sleeps unless every worker is busy or an idle
+  sweep is due.  Saturated, it takes readable connections off the set
+  into the bounded *ready queue*, which workers drain before they wait
+  again; its sweep (every ``min(request_timeout / 4, 1 s)``) quietly
+  closes connections parked longer than ``request_timeout``.
 
 Backpressure is explicit: when the ready queue stays full past a short
 grace period (the pool is saturated), the connection is answered ``503
@@ -33,7 +39,8 @@ pipelined requests that arrive in one segment are all served rather
 than silently dropped, and both layers of the stack frame messages with
 the same strict ``Content-Length`` rules (duplicates rejected — the
 request-smuggling shape) and the same 64 KiB header ceiling
-(:data:`~repro.transport.http11.MAX_HEADER_BYTES`).
+(:data:`~repro.transport.http11.MAX_HEADER_BYTES`).  Both decide
+connection reuse with one rule, :func:`~repro.transport.http11.keeps_alive`.
 
 The matching :class:`HttpClient` speaks the same dialect over up to
 ``pool_size`` plain sockets (no ``http.client``): concurrent callers —
@@ -43,13 +50,14 @@ borrow their own connection instead of queueing on a single socket.
 
 from __future__ import annotations
 
+import os
 import queue
-import selectors
+import select
 import socket
 import threading
 import time
 import weakref
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from typing import Callable, Optional
 
 from ..observability.metrics import MetricFamily
@@ -63,6 +71,7 @@ from .http11 import (
     HttpResponse,
     _Headers,
     bodyless_status,
+    keeps_alive,
     parse_request,
     parse_response,
 )
@@ -199,7 +208,7 @@ def _buffered_message_ready(buffer: bytes) -> bool:
     """Does ``buffer`` already hold one complete message?
 
     Used by workers to serve pipelined requests back-to-back without a
-    trip through the reactor.  Malformed framing counts as "ready": the
+    trip through the epoll set.  Malformed framing counts as "ready": the
     worker must dispatch it to produce the 400/413/431 diagnostic.
     """
     separator = buffer.find(b"\r\n\r\n")
@@ -212,15 +221,29 @@ def _buffered_message_ready(buffer: bytes) -> bool:
     return len(buffer) - (separator + 4) >= length
 
 
-class _Connection:
-    """Server-side per-connection state: socket + inter-request buffer."""
+#: How a parked connection waits in the server's epoll set: readable wakes
+#: exactly one waiter, and the kernel disarms the connection until its
+#: owner re-arms it.  (0 without epoll: ``HttpServer`` refuses to build.)
+_ARMED = getattr(select, "EPOLLIN", 0) | getattr(select, "EPOLLONESHOT", 0)
 
-    __slots__ = ("sock", "buffer", "parked_at", "peer")
+
+class _Connection:
+    """Server-side per-connection state: socket + inter-request buffer.
+
+    ``claimed`` is set, under the server lock, while exactly one owner
+    holds the connection: the worker serving it, the ready queue, or the
+    idle sweep closing it.  An unclaimed connection is armed in the
+    epoll set, waiting for its next request.
+    """
+
+    __slots__ = ("sock", "fd", "buffer", "parked_at", "peer", "claimed")
 
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
+        self.fd = sock.fileno()
         self.buffer = b""
-        self.parked_at = 0.0
+        self.parked_at = time.monotonic()
+        self.claimed = False
         try:
             self.peer: Optional[str] = sock.getpeername()[0]
         except (OSError, IndexError):
@@ -243,11 +266,13 @@ class HttpServer:
             response = client.get("/ping")
 
     ``workers`` bounds concurrent request handling; parked keep-alive
-    connections cost a selector slot, not a thread, so thousands of idle
-    clients can coexist with a small pool.  ``queue_size`` bounds the
-    ready queue between reactor and workers: connections that cannot be
-    dispatched within ``saturation_grace`` seconds are refused with
-    ``503`` + ``Retry-After: {retry_after}``.
+    connections cost an armed epoll slot, not a thread, so thousands of
+    idle clients can coexist with a small pool.  ``queue_size`` bounds
+    the ready queue that holds readable connections while every worker
+    is busy: connections that cannot be queued within
+    ``saturation_grace`` seconds are refused with ``503`` +
+    ``Retry-After: {retry_after}``.  Linux only: constructing one where
+    ``select.epoll`` is missing raises :class:`RuntimeError`.
     """
 
     def __init__(
@@ -277,6 +302,10 @@ class HttpServer:
         spans by.  Replica sets and the gateway set it; plain servers
         may leave it off (spans then inherit attribution upstream).
         """
+        if not hasattr(select, "epoll"):
+            raise RuntimeError(
+                "HttpServer requires Linux: its workers wait on select.epoll"
+            )
         if request_timeout <= 0:
             raise ValueError("request_timeout must be positive")
         if workers < 1:
@@ -300,19 +329,24 @@ class HttpServer:
         self.host, self.port = self._listener.getsockname()
         self._running = False
         self._accept_thread: Optional[threading.Thread] = None
-        self._reactor_thread: Optional[threading.Thread] = None
+        self._overflow_thread: Optional[threading.Thread] = None
         self._worker_threads: list[threading.Thread] = []
-        self._ready: "queue.Queue[Optional[_Connection]]" = queue.Queue(
+        # readable connections waiting for a worker, used only while
+        # every worker is busy; guarded by _lock like everything below
+        self._ready: "queue.Queue[_Connection]" = queue.Queue(
             maxsize=self.queue_size
         )
-        self._connections: set[_Connection] = set()
+        self._connections: dict[int, _Connection] = {}  # fd -> connection
+        self._idle_workers = 0  # workers waiting in the epoll set
         self._lock = threading.Lock()
-        # reactor plumbing: a selector over parked connections plus a
-        # self-pipe so workers can wake the reactor to (re)park.
-        self._selector = selectors.DefaultSelector()
-        self._park_requests: deque[_Connection] = deque()
-        self._wake_r, self._wake_w = socket.socketpair()
-        self._wake_r.setblocking(False)
+        # the overflow thread sleeps here until every worker is busy, a
+        # sweep is due, or a saturated ready queue frees a slot
+        self._overflow_wake = threading.Condition(self._lock)
+        self._epoll = select.epoll()
+        # level-triggered and never drained: once stop() rings it, every
+        # poll on the set returns, so all waiting workers wake together
+        self._doorbell = os.eventfd(0)
+        self._epoll.register(self._doorbell, select.EPOLLIN)
         self._label = None  # bound gauge children, set in start()
 
     @property
@@ -322,9 +356,8 @@ class HttpServer:
     # -- lifecycle ------------------------------------------------------
     def start(self) -> "HttpServer":
         # Idempotent: ``with gateway.start() as server`` enters an
-        # already-started server, and a second thread fleet (plus a
-        # second wake-pipe registration in the reactor's selector) must
-        # not spawn.
+        # already-started server, and a second thread fleet must not
+        # spawn.
         if self._running:
             return self
         self._running = True
@@ -340,16 +373,16 @@ class HttpServer:
                 instruments.transport_queue_depth.labels(server=server),
                 instruments.transport_rejections.labels(server=server),
             )
-        self._reactor_thread = threading.Thread(
-            target=self._reactor_loop, name="http-reactor", daemon=True
-        )
-        self._reactor_thread.start()
         for index in range(self.workers):
             thread = threading.Thread(
                 target=self._worker_loop, name=f"http-worker-{index}", daemon=True
             )
             thread.start()
             self._worker_threads.append(thread)
+        self._overflow_thread = threading.Thread(
+            target=self._overflow_loop, name="http-overflow", daemon=True
+        )
+        self._overflow_thread.start()
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name="http-accept", daemon=True
         )
@@ -374,41 +407,26 @@ class HttpServer:
             self._listener.close()
         except OSError:  # pragma: no cover
             pass
-        self._wake_reactor()  # reactor notices _running went False
-        if self._reactor_thread is not None:
-            self._reactor_thread.join(timeout=2)
+        if self._epoll.closed:
+            return  # stopped before
+        os.eventfd_write(self._doorbell, 1)  # wakes every waiting worker
+        with self._lock:
+            self._overflow_wake.notify_all()
+        if self._overflow_thread is not None:
+            self._overflow_thread.join(timeout=2)
         # close every connection: parked, queued, or mid-request
         with self._lock:
-            for conn in list(self._connections):
-                conn.close()
+            connections = list(self._connections.values())
             self._connections.clear()
-        # drain queued connections, then send one sentinel per worker
-        while True:
-            try:
-                item = self._ready.get_nowait()
-            except queue.Empty:
-                break
-            if item is not None:
-                item.close()
-        for _ in self._worker_threads:
-            try:
-                self._ready.put(None, timeout=1)
-            except queue.Full:  # pragma: no cover - workers wedged
-                break
+        for conn in connections:
+            conn.close()
         for thread in self._worker_threads:
             thread.join(timeout=2)
         self._worker_threads.clear()
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=2)
-        try:
-            self._wake_r.close()
-            self._wake_w.close()
-        except OSError:  # pragma: no cover
-            pass
-        try:
-            self._selector.close()
-        except (OSError, RuntimeError):  # pragma: no cover
-            pass
+        self._epoll.close()
+        os.close(self._doorbell)
 
     def __enter__(self) -> "HttpServer":
         return self.start()
@@ -420,8 +438,10 @@ class HttpServer:
     def _reject(self, conn: _Connection, message: str) -> None:
         """Refuse a connection with 503 + Retry-After, then close it."""
         # Count before the refusal hits the wire: a caller reacting to
-        # the 503 must already see it in the stats/instruments.
-        self.rejected_connections += 1
+        # the 503 must already see it in the stats/instruments.  Both the
+        # accept and the overflow thread shed, hence the lock.
+        with self._lock:
+            self.rejected_connections += 1
         if self._label is not None:
             self._label[2].inc()
         response = HttpResponse.error(503, message)
@@ -435,7 +455,8 @@ class HttpServer:
 
     def _discard(self, conn: _Connection) -> None:
         with self._lock:
-            self._connections.discard(conn)
+            if self._connections.get(conn.fd) is conn:
+                del self._connections[conn.fd]
         conn.close()
 
     # -- accept ---------------------------------------------------------
@@ -450,120 +471,166 @@ class HttpServer:
             with self._lock:
                 overloaded = len(self._connections) >= self.max_connections
                 if not overloaded:
-                    self._connections.add(conn)
+                    self._connections[conn.fd] = conn
             if overloaded:
-                conn.parked_at = time.monotonic()
                 self._reject(conn, "server saturated: connection limit reached")
                 continue
-            self._park(conn)
+            try:
+                self._epoll.register(conn.fd, _ARMED)
+            except (OSError, ValueError):  # epoll closed by stop()
+                self._discard(conn)
 
-    # -- reactor --------------------------------------------------------
-    def _park(self, conn: _Connection) -> None:
-        """Hand a connection to the reactor to await its next request."""
-        conn.parked_at = time.monotonic()
-        self._park_requests.append(conn)
-        self._wake_reactor()
+    # -- the wait set ---------------------------------------------------
+    def _await_ready(self, timeout: float = -1) -> list[tuple[int, int]]:
+        """Block until the kernel hands this thread one ready fd.
 
-    def _wake_reactor(self) -> None:
+        Idle workers (and the overflow thread, while saturated) wait
+        here, so the profiler folds this frame into ``(idle)``.
+        """
+        return self._epoll.poll(timeout, 1)
+
+    def _claim(self, events: list[tuple[int, int]]) -> Optional[_Connection]:
+        """Take ownership of the connection behind a ready event.
+
+        Caller holds the lock.  ``None`` for the doorbell, or when the
+        idle sweep closed the connection first.
+        """
+        if not events:
+            return None
+        conn = self._connections.get(events[0][0])
+        if conn is None or conn.claimed:
+            return None
+        conn.claimed = True
+        return conn
+
+    def _rearm(self, conn: _Connection) -> None:
+        """Park ``conn`` for its next request: one ``epoll_ctl``."""
+        conn.parked_at = time.monotonic()  # before unclaiming: the sweep reads both
+        conn.claimed = False
         try:
-            self._wake_w.send(b"\0")
-        except OSError:  # pragma: no cover - reactor already shut down
-            pass
+            self._epoll.modify(conn.fd, _ARMED)
+        except (OSError, ValueError):  # closed by stop()
+            self._discard(conn)
 
-    def _reactor_loop(self) -> None:
-        self._selector.register(self._wake_r, selectors.EVENT_READ, None)
+    # -- overflow -------------------------------------------------------
+    def _overflow_loop(self) -> None:
+        """Cover what the workers cannot: saturation and the idle sweep.
+
+        Sleeps on a condition while any worker is idle.  Once every
+        worker is busy it waits in the epoll set itself and moves each
+        readable connection into the ready queue (:meth:`_overflow`).
+        """
+        sweep_every = min(self.request_timeout / 4, 1.0)
+        next_sweep = time.monotonic() + sweep_every
         while self._running:
-            try:
-                events = self._selector.select(timeout=0.1)
-            except OSError:  # pragma: no cover - selector closed under us
-                return
-            for key, _mask in events:
-                if key.fileobj is self._wake_r:
-                    try:
-                        while self._wake_r.recv(4096):
-                            pass
-                    except (BlockingIOError, OSError):
-                        pass
-                    continue
-                conn: _Connection = key.data
+            with self._lock:
+                while self._running and self._idle_workers:
+                    remaining = next_sweep - time.monotonic()
+                    if remaining <= 0:
+                        break
+                    self._overflow_wake.wait(remaining)
+                saturated = not self._idle_workers
+            if saturated and self._running:
                 try:
-                    self._selector.unregister(conn.sock)
-                except (KeyError, ValueError, OSError):  # pragma: no cover
-                    continue
-                self._dispatch(conn)
-            # register connections parked by accept/workers
-            while self._park_requests:
-                conn = self._park_requests.popleft()
-                if not self._running:
-                    self._discard(conn)
-                    continue
-                try:
-                    self._selector.register(
-                        conn.sock, selectors.EVENT_READ, conn
+                    events = self._await_ready(
+                        max(0.0, next_sweep - time.monotonic())
                     )
-                except (KeyError, ValueError, OSError):
-                    self._discard(conn)
-            self._close_idle()
-        # shutdown: release whatever is still parked
-        try:
-            for key in list(self._selector.get_map().values()):
-                if key.data is not None:
-                    self._discard(key.data)
-        except (RuntimeError, OSError):  # pragma: no cover
-            pass
+                except (OSError, ValueError):  # pragma: no cover - epoll closed
+                    return
+                with self._lock:
+                    conn = self._claim(events)
+                if conn is not None:
+                    self._overflow(conn)
+            if time.monotonic() >= next_sweep:
+                self._close_idle()
+                next_sweep = time.monotonic() + sweep_every
 
-    def _dispatch(self, conn: _Connection) -> None:
-        """Queue a readable connection for a worker, with backpressure."""
-        try:
-            self._ready.put_nowait(conn)
-        except queue.Full:
-            # Saturated: give the pool a short grace, then shed load.
-            try:
-                self._ready.put(conn, timeout=self.saturation_grace)
-            except queue.Full:
-                self._reject(conn, "server saturated: worker pool busy")
+    def _overflow(self, conn: _Connection) -> None:
+        """Queue a readable connection while every worker is busy.
+
+        A worker that went idle meanwhile gets it back through the epoll
+        set; a queue still full after ``saturation_grace`` sheds it.
+        Queueing only while no worker is idle — under the lock workers
+        check the queue with — means nothing queued is ever stranded.
+        """
+        deadline = time.monotonic() + self.saturation_grace
+        with self._lock:
+            while self._running and not self._idle_workers and self._ready.full():
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    break
+                self._overflow_wake.wait(remaining)
+            running, idle = self._running, self._idle_workers
+            if running and not idle and not self._ready.full():
+                self._ready.put_nowait(conn)
+                if self._label is not None:
+                    self._label[1].set(self._ready.qsize())
                 return
-        if self._label is not None:
-            self._label[1].set(self._ready.qsize())
+        if not running:
+            self._discard(conn)
+        elif idle:
+            self._rearm(conn)
+        else:
+            self._reject(conn, "server saturated: worker pool busy")
 
     def _close_idle(self) -> None:
         """Quietly close parked connections idle past request_timeout."""
         deadline = time.monotonic() - self.request_timeout
-        stale = [
-            key.data
-            for key in list(self._selector.get_map().values())
-            if key.data is not None and key.data.parked_at < deadline
-        ]
+        with self._lock:
+            stale = [
+                conn
+                for conn in self._connections.values()
+                if not conn.claimed and conn.parked_at < deadline
+            ]
+            for conn in stale:
+                del self._connections[conn.fd]
         for conn in stale:
-            try:
-                self._selector.unregister(conn.sock)
-            except (KeyError, ValueError, OSError):  # pragma: no cover
-                continue
-            self._discard(conn)
+            conn.close()  # closing also drops it from the epoll set
 
     # -- workers --------------------------------------------------------
     def _worker_loop(self) -> None:
-        while True:
-            conn = self._ready.get()
+        label = self._label
+        while self._running:
+            conn = self._next_connection()
             if conn is None:
-                return  # sentinel: shutting down
-            label = self._label
+                continue  # the stop doorbell, or a connection swept first
             if label is not None:
                 label[0].inc()  # workers busy
-                label[1].set(self._ready.qsize())
             try:
                 self._serve_ready(conn)
             finally:
                 if label is not None:
                     label[0].dec()
 
+    def _next_connection(self) -> Optional[_Connection]:
+        """The next connection this worker serves: queued overflow first,
+        else whichever armed connection the kernel wakes it for."""
+        with self._lock:
+            if self._ready.qsize():
+                conn = self._ready.get_nowait()
+                self._overflow_wake.notify()  # a queue slot freed up
+                if self._label is not None:
+                    self._label[1].set(self._ready.qsize())
+                return conn
+            self._idle_workers += 1
+        try:
+            events = self._await_ready()
+        except (OSError, ValueError):  # pragma: no cover - epoll closed
+            events = []
+        with self._lock:
+            self._idle_workers -= 1
+            if not self._idle_workers:
+                self._overflow_wake.notify()  # saturated: overflow takes over
+            return self._claim(events)
+
     def _serve_ready(self, conn: _Connection) -> None:
-        """Serve every request already in flight on ``conn``, then park.
+        """Serve every request already in flight on ``conn``, then re-arm.
 
         Loops while complete pipelined messages sit in the connection
-        buffer (no reactor round-trip between them), parks the connection
-        when the buffer runs dry, closes it on ``Connection: close``,
-        errors, or EOF.
+        buffer (no trip through the epoll set between them), re-arms the
+        connection when the buffer runs dry, closes it when the request
+        ends persistence (:func:`~repro.transport.http11.keeps_alive`),
+        on errors, or on EOF.
         """
         while self._running:
             try:
@@ -594,10 +661,7 @@ class HttpServer:
                     pass
                 break
             response = self._handle(request)
-            keep_alive = (
-                request.headers.get("Connection", "keep-alive").lower()
-                != "close"
-            )
+            keep_alive = keeps_alive(request.version, request.headers)
             if not keep_alive:
                 response.headers.set("Connection", "close")
             try:
@@ -612,7 +676,7 @@ class HttpServer:
                 break
             if conn.buffer and _buffered_message_ready(conn.buffer):
                 continue  # next pipelined request is already here
-            self._park(conn)
+            self._rearm(conn)
             return
         self._discard(conn)
 
@@ -678,29 +742,20 @@ class _PooledConnection:
         except OSError:  # pragma: no cover
             pass
 
-    def stale(self, timeout: float) -> bool:
-        """Non-destructive peek: did the server already close (or poison)
-        this idle keep-alive socket?
+    def stale(self) -> bool:
+        """Did the server already close (or poison) this idle keep-alive
+        socket?
 
-        A zero-timeout ``MSG_PEEK`` that *returns* means either EOF
-        (server closed while we idled) or unsolicited bytes (framing
-        desync) — both make the socket unusable.  ``BlockingIOError``
-        means a healthy, quiet socket.  Detecting staleness *before*
-        writing is what lets even non-idempotent requests migrate to a
-        fresh connection safely: no bytes of theirs were ever sent.
+        One zero-timeout ``poll``: a healthy idle socket has nothing to
+        read, so a readable one holds EOF (the server closed while we
+        idled), an error, or unsolicited bytes (framing desync) — each
+        makes it unusable.  Detecting staleness *before* writing is what
+        lets even non-idempotent requests migrate to a fresh connection
+        safely: no bytes of theirs were ever sent.
         """
-        sock = self.sock
-        try:
-            sock.settimeout(0)
-            try:
-                sock.recv(1, socket.MSG_PEEK)
-            finally:
-                sock.settimeout(timeout)
-        except (BlockingIOError, InterruptedError):
-            return False
-        except OSError:
-            return True
-        return True  # EOF or unsolicited bytes: either way unusable
+        probe = select.poll()
+        probe.register(self.sock, select.POLLIN)
+        return bool(probe.poll(0))
 
 
 #: Every live HttpClient, for scrape-time capacity gauges.  A WeakSet so
@@ -903,7 +958,7 @@ class HttpClient:
                     conn = self._idle.pop()  # LIFO: warmest socket first
                     if (
                         time.monotonic() - conn.last_used > self.idle_ttl
-                        or conn.stale(self.timeout)
+                        or conn.stale()
                     ):
                         conn.close()
                         self.reaped_connections += 1
@@ -995,7 +1050,7 @@ class HttpClient:
         propagation from this one seam.
 
         Only idempotent methods are retried (once, on a fresh socket)
-        after a mid-exchange failure; for everything the stale-peek in
+        after a mid-exchange failure; for everything the stale probe in
         the pool already covers the "connection died before any bytes
         were written" case by never handing out a detectably-dead socket.
         """
@@ -1026,11 +1081,9 @@ class HttpClient:
                     raw, head_response=request.method == "HEAD"
                 )
                 conn.buffer = leftover
-                reusable = (
-                    (request.headers.get("Connection") or "").lower() != "close"
-                    and (response.headers.get("Connection") or "").lower()
-                    != "close"
-                )
+                reusable = keeps_alive(
+                    request.version, request.headers
+                ) and keeps_alive(response.version, response.headers)
                 return self._resolve_validation(request, response, stored)
             except (OSError, HttpError):
                 if attempt >= attempts:

@@ -98,6 +98,14 @@ class TestSamplingProfiler:
         report = SamplingProfiler(hz=200.0).profile(0.1)
         assert IDLE_KEY in report.folded
 
+    def test_idle_http_server_threads_fold_into_idle_bucket(self):
+        # workers block in the epoll set from C, so their Python leaf is
+        # HttpServer's wait function; unfolded it would be the hottest
+        # stack of any profile taken on a quiet server
+        with HttpServer(lambda request: None, workers=3):
+            report = SamplingProfiler(hz=200.0).profile(0.15)
+        assert not [s for s in report.folded if "httpserver.py" in s]
+
     def test_include_idle_keeps_parked_stacks_verbatim(self):
         report = SamplingProfiler(hz=200.0, include_idle=True).profile(0.1)
         assert IDLE_KEY not in report.folded
@@ -351,25 +359,29 @@ class TestDebugRoutes:
         )
         assert "/debug/profile" not in observability_routes(debug=False)
 
-    def test_threads_route_renders_while_workers_parked_in_reactor(self):
+    def test_threads_route_renders_while_workers_parked_in_epoll(self):
         # Regression: the dump must render from inside a worker thread
-        # while the reactor holds parked connections and sibling workers
-        # sit blocked on the ready queue.
+        # while a sibling worker sits blocked in the server's epoll set
+        # and the overflow thread sleeps on its condition.
         handler = compose_handlers(observability_routes())
         with HttpServer(handler, workers=2) as server:
             client = HttpClient(server.host, server.port)
             try:
-                # first request parks this keep-alive connection in the
-                # reactor; the dump then runs over that live topology
+                # first request re-arms this keep-alive connection in the
+                # epoll set; the dump then runs over that live topology
                 assert client.get("/metrics").status == 200
+                # the worker that served it may still be on its way back
+                deadline = time.monotonic() + 5
+                while server._idle_workers < 2 and time.monotonic() < deadline:
+                    time.sleep(0.01)
                 response = client.get("/debug/threads")
             finally:
                 client.close()
         assert response.status == 200
         body = response.text()
         assert "http-worker-0" in body and "http-worker-1" in body
-        assert "http-reactor" in body
-        # the reactor is visibly parked in its selectors wait, not wedged
-        assert "selectors.py" in body
+        assert "http-overflow" in body
+        # the idle worker is visibly parked in the wait set, not wedged
+        assert "_await_ready" in body
         # and the dump itself ran on a worker thread mid-request
         assert "dump_threads" in body

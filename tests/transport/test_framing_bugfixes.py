@@ -160,33 +160,53 @@ class TestHeadResponses:
             client.close()
 
 
-class _FlakyServer:
-    """Scripted raw server: fails the first N exchanges by closing the
-    connection after reading the request, then serves normally.  Counts
-    every request it reads — the double-apply detector."""
+class _FakeServer:
+    """Raw scripted server: one accept thread, one thread per connection.
 
-    def __init__(self, fail_first: int = 1) -> None:
-        self.fail_first = fail_first
-        self.requests_seen = 0
-        self._lock = threading.Lock()
+    Subclasses set their script state, then call ``super().__init__()``
+    (which starts accepting) and implement ``_handle``.
+    """
+
+    def __init__(self) -> None:
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind(("127.0.0.1", 0))
         self._listener.listen(8)
         self.host, self.port = self._listener.getsockname()
-        self._running = True
         self._thread = threading.Thread(target=self._serve, daemon=True)
         self._thread.start()
 
     def _serve(self) -> None:
-        while self._running:
+        while True:
             try:
                 sock, _ = self._listener.accept()
             except OSError:
                 return
-            threading.Thread(
-                target=self._handle, args=(sock,), daemon=True
-            ).start()
+            threading.Thread(target=self._handle, args=(sock,), daemon=True).start()
+
+    def _handle(self, sock: socket.socket) -> None:
+        raise NotImplementedError
+
+    def close(self) -> None:
+        # closing alone does not wake a thread blocked in accept(2)
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        self._listener.close()
+        self._thread.join(timeout=5)
+
+
+class _FlakyServer(_FakeServer):
+    """Fails the first N exchanges by closing the connection after
+    reading the request, then serves normally.  Counts every request it
+    reads — the double-apply detector."""
+
+    def __init__(self, fail_first: int = 1) -> None:
+        self.fail_first = fail_first
+        self.requests_seen = 0
+        self._lock = threading.Lock()
+        super().__init__()
 
     def _handle(self, sock: socket.socket) -> None:
         sock.settimeout(5)
@@ -211,13 +231,6 @@ class _FlakyServer:
                 sock.close()
             except OSError:
                 pass
-
-    def close(self) -> None:
-        self._running = False
-        try:
-            self._listener.close()
-        except OSError:
-            pass
 
 
 class TestIdempotentOnlyRetry:
@@ -266,7 +279,7 @@ class TestIdempotentOnlyRetry:
             flaky.close()
 
 
-class _ScriptedServer:
+class _ScriptedServer(_FakeServer):
     """Raw server answering each parsed request with the next canned blob.
 
     Lets a test put *wrong* bytes on the wire (a 304 carrying
@@ -276,22 +289,7 @@ class _ScriptedServer:
 
     def __init__(self, scripts: list[bytes]) -> None:
         self.scripts = list(scripts)
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind(("127.0.0.1", 0))
-        self._listener.listen(8)
-        self.host, self.port = self._listener.getsockname()
-        self._running = True
-        self._thread = threading.Thread(target=self._serve, daemon=True)
-        self._thread.start()
-
-    def _serve(self) -> None:
-        while self._running:
-            try:
-                sock, _ = self._listener.accept()
-            except OSError:
-                return
-            threading.Thread(target=self._handle, args=(sock,), daemon=True).start()
+        super().__init__()
 
     def _handle(self, sock: socket.socket) -> None:
         sock.settimeout(5)
@@ -309,13 +307,6 @@ class _ScriptedServer:
                 sock.close()
             except OSError:
                 pass
-
-    def close(self) -> None:
-        self._running = False
-        try:
-            self._listener.close()
-        except OSError:
-            pass
 
 
 class TestBodylessStatuses:
