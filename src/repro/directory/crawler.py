@@ -96,7 +96,7 @@ class HttpFetcher:
     Optional[Page]`` protocol, so the same BFS that walks the synthetic
     :class:`WebGraph` can walk provider sites actually served by
     :class:`~repro.transport.httpserver.HttpServer` nodes.  One pooled
-    :class:`~repro.transport.httpserver.HttpClient` is kept per
+    :class:`~repro.transport.client.HttpClient` is kept per
     ``host:port`` authority (keep-alive across the many pages of one
     provider — the crawler's dominant access pattern); dead links —
     connection failures, timeouts, non-200s — come back as ``None``,
@@ -115,7 +115,7 @@ class HttpFetcher:
     ) -> None:
         if client_factory is None:
             def client_factory(host: str, port: int):
-                from ..transport.httpserver import HttpClient  # lazy: layering
+                from ..transport.client import HttpClient  # lazy: layering
 
                 return HttpClient(
                     host, port, timeout=timeout, pool_size=pool_size

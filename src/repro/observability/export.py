@@ -12,7 +12,7 @@ tail policy kept ever cross the wire::
 Finished spans land in a bounded queue as-is; a daemon thread drains
 the queue, serializes with :meth:`Span.to_dict`, and ships batched JSON
 POSTs (``{"node": ..., "spans": [...]}`` to ``/traces/ingest``) over
-one pooled :class:`~repro.transport.httpserver.HttpClient`.  Two
+one pooled :class:`~repro.transport.client.HttpClient`.  Two
 properties are non-negotiable:
 
 * **drop, never block** — a full queue or a dead store costs the
@@ -64,7 +64,7 @@ class BatchSpanExporter:
     ``batch_size`` spans are waiting, whichever is sooner.
 
     Pass ``client`` to ride a shared pooled
-    :class:`~repro.transport.httpserver.HttpClient` (e.g. from the
+    :class:`~repro.transport.client.HttpClient` (e.g. from the
     resilience layer's ``PooledHttpClients``); otherwise the exporter
     dials its own against ``host:port`` lazily and closes it with the
     exporter.
@@ -227,7 +227,7 @@ class BatchSpanExporter:
 
     def _ensure_client(self) -> Any:
         if self._client is None:
-            from ..transport.httpserver import HttpClient  # lazy: layering
+            from ..transport.client import HttpClient  # lazy: layering
 
             self._client = HttpClient(self._host, self._port)
         return self._client

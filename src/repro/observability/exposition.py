@@ -423,7 +423,7 @@ class HealthHandler:
         """Surface connection-pool occupancy in the health document.
 
         ``pool`` is anything with ``pool_stats()`` — a single
-        :class:`~repro.transport.httpserver.HttpClient` or a
+        :class:`~repro.transport.client.HttpClient` or a
         :class:`~repro.resilience.binding.PooledHttpClients` aggregate.
         Occupancy is *detail*, not a verdict: a busy pool does not flip
         ``/healthz`` to 503, but ``waiters > 0`` is visible here before

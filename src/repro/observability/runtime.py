@@ -172,7 +172,7 @@ class BusDispatchMetrics:
 
 def _transport_pool_families() -> list[MetricFamily]:
     """Scrape-time bridge to the HttpClient pool gauges, if transport is up."""
-    transport = sys.modules.get("repro.transport.httpserver")
+    transport = sys.modules.get("repro.transport.client")
     if transport is None:
         return []
     return transport.pool_metric_families()

@@ -113,7 +113,7 @@ class PooledHttpClients:
                 if self._factory is not None:
                     client = self._factory(host, port)
                 else:
-                    from ..transport.httpserver import HttpClient  # lazy: layering
+                    from ..transport.client import HttpClient  # lazy: layering
 
                     client = HttpClient(host, port)
                 self._clients[key] = client
@@ -188,7 +188,7 @@ def invoker_for_endpoint(
 
     ``inproc`` endpoints need a ``bus``; ``soap``/``rest`` endpoints build
     an HTTP client through ``http_factory`` (defaults to the socket
-    :class:`~repro.transport.httpserver.HttpClient`; tests can inject an
+    :class:`~repro.transport.client.HttpClient`; tests can inject an
     in-memory double).
     """
     if endpoint.binding == "inproc":
@@ -204,7 +204,7 @@ def invoker_for_endpoint(
 
     if endpoint.binding in ("soap", "rest"):
         # Lazy import: resilience sits below transport in the layering.
-        from ..transport.httpserver import HttpClient
+        from ..transport.client import HttpClient
         from ..transport.rest import RestClient
         from ..transport.soap import SoapClient
 

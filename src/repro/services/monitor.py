@@ -6,7 +6,7 @@ paper's Repository of Services exposes every capability behind a
 contract.  Three layers:
 
 * :class:`FleetMonitor` — the engine: scrapes other nodes' ``/metrics``
-  over :class:`~repro.transport.httpserver.HttpClient`, parses the
+  over :class:`~repro.transport.client.HttpClient`, parses the
   Prometheus text back into metric families
   (:func:`~repro.observability.exposition.parse_prometheus`), merges
   them into one fleet view (every sample gains a ``node`` label), and
@@ -203,7 +203,7 @@ class FleetMonitor:
         self.max_parallel_scrapes = max_parallel_scrapes
         if client_factory is None:
             def client_factory(host: str, port: int):
-                from ..transport.httpserver import HttpClient  # lazy: layering
+                from ..transport.client import HttpClient  # lazy: layering
 
                 return HttpClient(
                     host, port, timeout=self.scrape_timeout, pool_size=2

@@ -16,7 +16,8 @@ from .http11 import (
     parse_request,
     parse_response,
 )
-from .httpserver import HttpClient, HttpServer, serve_once
+from .client import HttpClient
+from .httpserver import HttpServer, serve_once
 from .conditional import (
     compute_etag,
     conditional,

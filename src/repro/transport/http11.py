@@ -3,13 +3,18 @@
 The curriculum's service bindings ride on HTTP ("communication protocols
 such as SOAP and HTTP").  This module implements just enough of RFC 7230:
 request/response objects, header handling, Content-Length framing, and
-(de)serialization to bytes.  It is transport-agnostic — the socket server
-in :mod:`repro.transport.httpserver` and the in-memory tests both use it.
+(de)serialization to bytes.  It is the one framer: the server, the client
+and the in-memory tests all decide where a message ends with
+:func:`read_request`/:func:`read_response`, of which
+:func:`parse_request`/:func:`parse_response` are the whole-buffer case.
 """
 
 from __future__ import annotations
 
+import socket
+import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 from urllib.parse import parse_qsl, quote, unquote, urlsplit
 
@@ -22,6 +27,8 @@ __all__ = [
     "keeps_alive",
     "parse_request",
     "parse_response",
+    "read_request",
+    "read_response",
     "parse_query_string",
     "encode_query",
     "STATUS_PHRASES",
@@ -267,23 +274,11 @@ class HttpResponse:
 
 
 # ---------------------------------------------------------------------------
-# wire parsing
+# wire framing: the one place that decides where a message ends
 # ---------------------------------------------------------------------------
 
-
-def _split_message(raw: bytes) -> tuple[list[str], bytes]:
-    separator = raw.find(b"\r\n\r\n")
-    if separator == -1:
-        raise HttpError("incomplete message: no header terminator")
-    head = raw[:separator]
-    if len(head) > MAX_HEADER_BYTES:
-        raise HttpError("header section too large", status=431)
-    body = raw[separator + 4 :]
-    try:
-        lines = head.decode("latin-1").split("\r\n")
-    except UnicodeDecodeError as exc:  # pragma: no cover - latin-1 total
-        raise HttpError("undecodable header bytes") from exc
-    return lines, body
+_TERMINATOR = b"\r\n\r\n"
+_RECV_CHUNK = 65536
 
 
 def _parse_headers(lines: list[str]) -> _Headers:
@@ -307,8 +302,6 @@ def content_length_of(headers: _Headers) -> Optional[int]:
     outright (HTTP 400): a message that frames differently depending on
     whether a parser honours the first or the last copy is the shape of a
     request-smuggling desync, so neither interpretation is acceptable.
-    The socket framer in :mod:`repro.transport.httpserver` applies the
-    same rule, keeping both layers' framing decisions identical.
     """
     values = headers.get_all("Content-Length")
     if not values:
@@ -329,13 +322,17 @@ def content_length_of(headers: _Headers) -> Optional[int]:
     return length
 
 
-def _body_with_length(headers: _Headers, body: bytes) -> bytes:
+def _body_length(headers: _Headers, bodyless: bool) -> int:
+    """The one body-length rule: 0 when ``bodyless`` (a HEAD response, a
+    1xx/204/304 status) or without ``Content-Length``, whose value is
+    validated either way.  ``Transfer-Encoding`` is refused with 501
+    (RFC 7230 §3.3.1, §3.3.3): nothing here decodes chunked bodies, and
+    framing one on anything else leaves its body on the wire to be read
+    as the next message — the request-smuggling shape."""
+    if "Transfer-Encoding" in headers:
+        raise HttpError("Transfer-Encoding is not supported", status=501)
     length = content_length_of(headers)
-    if length is None:
-        return body
-    if len(body) < length:
-        raise HttpError("incomplete message: body shorter than Content-Length")
-    return body[:length]
+    return 0 if bodyless or length is None else length
 
 
 def keeps_alive(version: str, headers: _Headers) -> bool:
@@ -356,10 +353,16 @@ def keeps_alive(version: str, headers: _Headers) -> bool:
     return version != "HTTP/1.0" or "keep-alive" in tokens
 
 
-def parse_request(raw: bytes) -> HttpRequest:
-    """Parse a full request message from bytes."""
-    lines, body = _split_message(raw)
-    if not lines or not lines[0]:
+def _head_lines(head: bytes) -> list[str]:
+    if len(head) > MAX_HEADER_BYTES:
+        raise HttpError("header section too large", status=431)
+    return head.decode("latin-1").split("\r\n")
+
+
+def _request_head(head: bytes) -> tuple[HttpRequest, int]:
+    """A request from its header section, and the body length it frames."""
+    lines = _head_lines(head)
+    if not lines[0]:
         raise HttpError("empty request line")
     parts = lines[0].split(" ")
     if len(parts) != 3:
@@ -370,20 +373,12 @@ def parse_request(raw: bytes) -> HttpRequest:
     if not version.startswith("HTTP/"):
         raise HttpError(f"bad HTTP version {version!r}")
     headers = _parse_headers(lines[1:])
-    return HttpRequest(method, target, headers, _body_with_length(headers, body), version)
+    return HttpRequest(method, target, headers, b"", version), _body_length(headers, False)
 
 
-def parse_response(raw: bytes, *, head_response: bool = False) -> HttpResponse:
-    """Parse a full response message from bytes.
-
-    ``head_response=True`` parses the response to a ``HEAD`` request:
-    per RFC 7230 §3.3 its ``Content-Length`` describes the body a ``GET``
-    *would* have carried, so no body bytes are expected or consumed.
-    Bodyless statuses (1xx, 204, 304) are treated the same way whatever
-    the request method was: their ``Content-Length``, if present, is
-    validated but never framed over.
-    """
-    lines, body = _split_message(raw)
+def _response_head(head: bytes, head_response: bool = False) -> tuple[HttpResponse, int]:
+    """A response from its header section, and the body length it frames."""
+    lines = _head_lines(head)
     parts = lines[0].split(" ", 2)
     if len(parts) < 2 or not parts[0].startswith("HTTP/"):
         raise HttpError(f"malformed status line {lines[0]!r}")
@@ -392,10 +387,121 @@ def parse_response(raw: bytes, *, head_response: bool = False) -> HttpResponse:
     except ValueError as exc:
         raise HttpError(f"bad status code {parts[1]!r}") from exc
     headers = _parse_headers(lines[1:])
-    if head_response or bodyless_status(status):
-        content_length_of(headers)  # still validated, never read
-        return HttpResponse(status, headers, b"", parts[0])
-    return HttpResponse(status, headers, _body_with_length(headers, body), parts[0])
+    bodyless = head_response or bodyless_status(status)
+    return HttpResponse(status, headers, b"", parts[0]), _body_length(headers, bodyless)
+
+
+def _recv(sock, deadline: Optional[float], pending: bool, where: str) -> bytes:
+    """The next chunk of a message, waiting at most until ``deadline``.
+    ``b""`` only for a close or timeout before the message's first byte
+    (``pending`` false); after it, EOF is a 400 and a timeout a 408."""
+    try:
+        if deadline is not None:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise socket.timeout
+            sock.settimeout(remaining)
+        chunk = sock.recv(_RECV_CHUNK)
+    except socket.timeout:
+        if not pending:
+            return b""
+        raise HttpError(f"peer stalled mid-{where}", status=408) from None
+    if not chunk and pending:
+        raise HttpError(f"incomplete message: input ended mid-{where}")
+    return chunk
+
+
+def _read(sock, buffer: bytes, parse_head, timeout: Optional[float] = None):
+    """Frame one message off ``sock`` after the bytes in ``buffer``.
+
+    The terminator is searched for only in new bytes, and the head is
+    parsed once.  ``timeout`` is a budget for the whole message, set back
+    on the socket afterwards.
+    """
+    deadline = None if timeout is None else time.monotonic() + timeout
+    try:
+        end = buffer.find(_TERMINATOR)
+        while end == -1:
+            # no terminator yet: the head is at least len(buffer) - 3 long
+            if len(buffer) - 3 > MAX_HEADER_BYTES:
+                raise HttpError("header section too large", status=431)
+            chunk = _recv(sock, deadline, bool(buffer), "headers")
+            if not chunk:
+                return None, b""
+            scanned = max(len(buffer) - 3, 0)
+            buffer += chunk
+            end = buffer.find(_TERMINATOR, scanned)
+        message, length = parse_head(buffer[:end])
+        stop = end + 4 + length
+        if len(buffer) < stop:  # a bytearray grows in place: linear in the body
+            body = bytearray(buffer)
+            while len(body) < stop:
+                body += _recv(sock, deadline, True, "body")
+            buffer = bytes(body)
+    finally:
+        if timeout is not None:
+            sock.settimeout(timeout)
+    message.body = buffer[end + 4 : stop]
+    return message, buffer[stop:]
+
+
+class _Exhausted:
+    """A socket with nothing more to give: framing one whole buffer."""
+
+    def recv(self, _size: int) -> bytes:
+        return b""
+
+    def gettimeout(self) -> None:
+        return None
+
+
+def read_request(
+    sock: socket.socket, buffer: bytes = b""
+) -> tuple[Optional[HttpRequest], bytes]:
+    """Read one request off ``sock``: ``(request, leftover)``.
+
+    ``buffer`` holds bytes already read; bytes past the request come back
+    as ``leftover``, so pipelined requests survive.  ``(None, b"")`` is a
+    peer that closed or timed out before its first byte.  The socket's
+    timeout bounds the whole request, not each ``recv``, so a peer
+    dribbling bytes cannot hold the reader longer: a server reads once a
+    request's first bytes are in, so it counts from them.  Bad framing
+    raises :class:`HttpError` with the status to answer: 400, 408, 413,
+    431, 501.
+    """
+    return _read(sock, buffer, _request_head, sock.gettimeout())
+
+
+def read_response(
+    sock: socket.socket, buffer: bytes = b"", *, head_response: bool = False
+) -> tuple[Optional[HttpResponse], bytes]:
+    """Read one response off ``sock``, as :func:`read_request` does but
+    with the socket's timeout bounding each ``recv``.
+    ``head_response=True`` reads the answer to a ``HEAD`` request: its
+    ``Content-Length`` describes a body that never arrives."""
+    if head_response:
+        return _read(sock, buffer, partial(_response_head, head_response=True))
+    return _read(sock, buffer, _response_head)
+
+
+def parse_request(raw: bytes) -> HttpRequest:
+    """Parse one request from bytes: :func:`read_request` on a whole
+    buffer.  Bytes past the message's framing are ignored."""
+    request, _ = read_request(_Exhausted(), raw)  # type: ignore[arg-type]
+    if request is None:
+        raise HttpError("empty message")
+    return request
+
+
+def parse_response(raw: bytes, *, head_response: bool = False) -> HttpResponse:
+    """Parse one response from bytes: :func:`read_response` on a whole
+    buffer, ``head_response`` as there."""
+    response, _ = read_response(  # type: ignore[arg-type]
+        _Exhausted(), raw, head_response=head_response
+    )
+    if response is None:
+        raise HttpError("empty message")
+    return response
 
 
 def parse_query_string(query: str) -> dict[str, str]:

@@ -17,7 +17,7 @@ Also includes :class:`RestRouter`, a generic path-pattern router used by
 the web-application framework and the service directory frontend.
 
 :class:`RestClient` is safe to share across threads when backed by the
-pooled :class:`~repro.transport.httpserver.HttpClient`: each concurrent
+pooled :class:`~repro.transport.client.HttpClient`: each concurrent
 call borrows its own keep-alive socket, so idempotent GETs additionally
 get the transport's one-shot retry on a fresh connection while POSTs of
 non-idempotent operations fail fast (their replays belong to a
@@ -38,7 +38,7 @@ from ..observability.trace import TRACEPARENT_HEADER
 from ..xmlkit import Element, from_element, parse, to_element
 from .conditional import compute_etag, if_none_match
 from .http11 import HttpRequest, HttpResponse, encode_query
-from .httpserver import HttpClient
+from .client import HttpClient
 from .statusmap import attach_retry_after, raise_transport_status
 from .wsdl import contract_to_xml
 

@@ -11,7 +11,7 @@ re-raises as the same typed fault at the client.
   :class:`~repro.core.service.ServiceHost` dispatchers under
   ``/soap/<ServiceName>``.
 * :class:`SoapClient` — client side: speaks the envelope dialect over an
-  :class:`~repro.transport.httpserver.HttpClient`; pair with
+  :class:`~repro.transport.client.HttpClient`; pair with
   :func:`repro.core.proxy.make_proxy` for a typed façade.
 
 :class:`SoapClient` is thread-safe to the extent its ``HttpClient`` is:
@@ -34,7 +34,7 @@ from ..observability.runtime import OBS, server_span
 from ..observability.trace import TRACEPARENT_HEADER
 from ..xmlkit import Element, from_element, parse, to_element
 from .http11 import HttpRequest, HttpResponse
-from .httpserver import HttpClient
+from .client import HttpClient
 from .statusmap import attach_retry_after, raise_transport_status
 from .wsdl import contract_to_xml
 

@@ -165,6 +165,7 @@ class TestProfilingEndToEnd:
                     for thread in load:
                         thread.join(timeout=10.0)
                     client.close()
+                    monitor.close()
             gateway.close()
 
         # -- the profile names the handler's hot frame ------------------
@@ -227,6 +228,7 @@ class TestFleetProfiling:
                 stop.set()
                 for thread in threads:
                     thread.join(timeout=10.0)
+                monitor.close()
 
         assert merged, "fleet profile came back empty"
         hot_paths = monitor.hot_paths(5)

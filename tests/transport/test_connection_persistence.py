@@ -21,8 +21,7 @@ import time
 import pytest
 
 from repro.transport import HttpClient, HttpResponse, HttpServer
-from repro.transport.http11 import _Headers, keeps_alive, parse_response
-from repro.transport.httpserver import _read_message
+from repro.transport.http11 import _Headers, keeps_alive, read_request, read_response
 
 
 def echo_handler(request):
@@ -37,19 +36,19 @@ def server():
         yield srv
 
 
-def exchange(server, payload: bytes) -> tuple[bytes, bool]:
+def exchange(server, payload: bytes) -> tuple[HttpResponse, bool]:
     """Send one request; return its response and whether the server then
     closed the connection within one second."""
     with socket.create_connection((server.host, server.port), timeout=5) as sock:
         sock.sendall(payload)
-        raw, leftover = _read_message(sock)
+        response, leftover = read_response(sock)
         assert not leftover
         sock.settimeout(1.0)
         try:
             closed = sock.recv(1) == b""
         except socket.timeout:
             closed = False
-    return raw, closed
+    return response, closed
 
 
 class TestKeepsAlive:
@@ -73,16 +72,16 @@ class TestKeepsAlive:
 
 class TestServerPersistence:
     def test_http10_request_without_keep_alive_is_closed(self, server):
-        raw, closed = exchange(server, b"GET /old HTTP/1.0\r\n\r\n")
-        assert raw.endswith(b"GET /old")
-        assert b"Connection: close" in raw
+        response, closed = exchange(server, b"GET /old HTTP/1.0\r\n\r\n")
+        assert response.body.endswith(b"GET /old")
+        assert response.headers.get("Connection") == "close"
         assert closed
 
     def test_close_token_in_a_list_is_honoured(self, server):
-        raw, closed = exchange(
+        response, closed = exchange(
             server, b"GET /bye HTTP/1.1\r\nConnection: keep-alive, close\r\n\r\n"
         )
-        assert b"Connection: close" in raw
+        assert response.headers.get("Connection") == "close"
         assert closed
 
     def test_http10_keep_alive_token_keeps_the_connection(self, server):
@@ -92,9 +91,9 @@ class TestServerPersistence:
                 sock.sendall(
                     b"GET " + path + b" HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n"
                 )
-                raw, buffer = _read_message(sock, buffer)
-                assert raw.endswith(b"GET " + path)
-                assert b"Connection: close" not in raw
+                response, buffer = read_response(sock, buffer)
+                assert response.body.endswith(b"GET " + path)
+                assert response.headers.get("Connection") != "close"
 
 
 class TestClientPersistence:
@@ -136,7 +135,7 @@ class TestClientPersistence:
                 sock, _ = listener.accept()
                 with sock:
                     sock.settimeout(5)
-                    raw, _ = _read_message(sock)
+                    read_request(sock)
                     answer = HttpResponse.text_response(f"answer {index}")
                     sock.sendall(answer.to_bytes())
                     if extra:
@@ -210,8 +209,8 @@ class TestEpollServer:
                     for number in range(rounds):
                         path = f"/c{index}/r{number}"
                         sock.sendall(f"GET {path} HTTP/1.1\r\n\r\n".encode())
-                        raw, buffer = _read_message(sock, buffer)
-                        body = parse_response(raw).body.decode()
+                        response, buffer = read_response(sock, buffer)
+                        body = response.body.decode()
                         if body != path:
                             errors.append((path, body))
             except Exception as exc:  # noqa: BLE001 - surfaced below

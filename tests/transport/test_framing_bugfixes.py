@@ -32,12 +32,9 @@ from repro.transport.http11 import (
     content_length_of,
     parse_request,
     parse_response,
+    read_request,
 )
-from repro.transport.httpserver import (
-    IDEMPOTENT_METHODS,
-    _frame_content_length,
-    _read_message,
-)
+from repro.transport.client import IDEMPOTENT_METHODS
 
 
 def echo_handler(request):
@@ -97,11 +94,21 @@ class TestDuplicateContentLength:
         request = HttpRequest("POST", "/x", {"Content-Length": "3"}, b"abc")
         assert content_length_of(request.headers) == 3
 
-    def test_frame_content_length_matches_parser(self):
-        """The raw-byte framer applies the same rejection rule."""
-        head = b"POST /x HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 8"
-        with pytest.raises(HttpError):
-            _frame_content_length(head)
+    def test_reader_refuses_with_400(self):
+        """The socket reader applies the same rejection rule."""
+        left, right = socket.socketpair()
+        try:
+            left.sendall(
+                b"POST /x HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 8"
+                b"\r\n\r\nabcdefgh"
+            )
+            right.settimeout(5)
+            with pytest.raises(HttpError) as excinfo:
+                read_request(right)
+            assert excinfo.value.status == 400
+        finally:
+            left.close()
+            right.close()
 
     def test_server_answers_400_not_desync(self, server):
         """Pre-fix: framer read CL=8 (last), parser read CL=3 (first) —
@@ -213,8 +220,8 @@ class _FlakyServer(_FakeServer):
         buffer = b""
         try:
             while True:
-                raw, buffer = _read_message(sock, buffer)
-                if raw is None:
+                request, buffer = read_request(sock, buffer)
+                if request is None:
                     return
                 with self._lock:
                     self.requests_seen += 1
@@ -296,8 +303,8 @@ class _ScriptedServer(_FakeServer):
         buffer = b""
         try:
             while self.scripts:
-                raw, buffer = _read_message(sock, buffer)
-                if raw is None:
+                request, buffer = read_request(sock, buffer)
+                if request is None:
                     return
                 sock.sendall(self.scripts.pop(0))
         except (HttpError, OSError):
@@ -422,14 +429,14 @@ class TestHeaderLimits:
         blob = raw_exchange(server, huge)
         assert blob.startswith(b"HTTP/1.1 431 Request Header Fields Too Large")
 
-    def test_read_message_raises_431(self):
+    def test_reader_raises_431(self):
         left, right = socket.socketpair()
         try:
             left.sendall(b"GET /x HTTP/1.1\r\nX-Pad: " + b"b" * MAX_HEADER_BYTES)
             left.close()
             right.settimeout(5)
             with pytest.raises(HttpError) as excinfo:
-                _read_message(right)
+                read_request(right)
             assert excinfo.value.status == 431
         finally:
             right.close()

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from repro.transport import HttpResponse, HttpServer
-from repro.transport.httpserver import _read_message
+from repro.transport.http11 import read_request
 
 
 def echo_handler(request):
@@ -122,10 +122,10 @@ class TestReadMessage:
         a, b = self.make_pair()
         try:
             b.sendall(b"POST / HTTP/1.1\r\nContent-Length: 3\r\n\r\nabcEXTRA")
-            message, leftover = _read_message(a)
+            message, leftover = read_request(a)
             # the message is framed *exactly*; pipelined bytes come back
             # as leftover instead of being glued to the body (seed bug)
-            assert message.endswith(b"\r\n\r\nabc")
+            assert message.body == b"abc"
             assert leftover == b"EXTRA"
         finally:
             a.close()
@@ -135,11 +135,11 @@ class TestReadMessage:
         a, b = self.make_pair()
         try:
             b.sendall(b"GET /second HTTP/1.1\r\n\r\n")
-            message, leftover = _read_message(a, b"GET /first HTTP/1.1\r\n\r\n")
-            assert b"/first" in message
+            message, leftover = read_request(a, b"GET /first HTTP/1.1\r\n\r\n")
+            assert message.target == "/first"
             assert leftover == b""
-            message, leftover = _read_message(a)
-            assert b"/second" in message
+            message, leftover = read_request(a)
+            assert message.target == "/second"
         finally:
             a.close()
             b.close()
@@ -148,7 +148,7 @@ class TestReadMessage:
         a, b = self.make_pair()
         try:
             b.close()
-            message, leftover = _read_message(a)
+            message, leftover = read_request(a)
             assert message is None
             assert leftover == b""
         finally:
@@ -162,7 +162,7 @@ class TestReadMessage:
             b.sendall(b"GET / HTTP/1.1\r\nPartial")
             b.close()
             with pytest.raises(HttpError):
-                _read_message(a)
+                read_request(a)
         finally:
             a.close()
 
@@ -174,7 +174,7 @@ class TestReadMessage:
             b.sendall(b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc")
             b.close()
             with pytest.raises(HttpError):
-                _read_message(a)
+                read_request(a)
         finally:
             a.close()
 
