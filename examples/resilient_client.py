@@ -13,8 +13,10 @@ This example shows the resilience middleware earning its keep:
    observations back to the broker
 3. watch the circuit breaker trip when the provider dies, fail fast
    while it is open, and probe it back closed after recovery
-4. fail over to a healthy endpoint ranked first by the broker's
-   per-endpoint QoS
+4. fail over within the call when the broker's favourite endpoint
+   dies: the replica balancer behind the proxy picks by per-endpoint
+   QoS (power of two choices), falls over to the next endpoint, and
+   the broker's books then rank the survivor first
 
 Everything is driven by a manual clock — the whole outage plays out in
 zero wall-clock seconds and is reproducible run-to-run.
@@ -86,11 +88,13 @@ def main() -> None:
     provider.healthy = True
     print("after recovery:", proxy.quote(symbol="ASU"))
 
-    # -- 4: failover across endpoints, healthiest first -------------------
+    # -- 4: failover across endpoints when the favourite dies -------------
     dead = Endpoint("inproc", bus.host(QuoteService(), "quotes-dead"))
     live = Endpoint("inproc", "inproc://quoteservice")
     broker.publish(QuoteService.contract(), [dead, live], provider="two-sites")
-    bus._hosts["quotes-dead"].service.healthy = False  # site one is down
+    # site two had a blip earlier, so the broker favours site one...
+    broker.report("QuoteService", 0.05, fault=True, endpoint=live)
+    bus._hosts["quotes-dead"].service.healthy = False  # ...which is down now
 
     failover = resilient_proxy_from_broker(
         broker, "QuoteService",
@@ -99,6 +103,8 @@ def main() -> None:
         clock=clock, sleep=clock.advance,
     )
     print("failover call:", failover.quote(symbol="ASU"))
+    faults = broker.lookup("QuoteService").qos_for(dead).faults
+    print("dead site tried first, faults seen:", faults)
     ranked = broker.endpoints_by_preference("QuoteService")
     print("broker now prefers:", ranked[0].address)
     print("simulated seconds elapsed:", round(clock.now(), 2))

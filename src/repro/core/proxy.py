@@ -88,16 +88,17 @@ def proxy_from_broker(
     original SOD workflow).  With a ``policy`` (a
     :class:`repro.resilience.ResiliencePolicy`), the proxy instead
     dispatches through a broker-guided
-    :class:`~repro.resilience.binding.FailoverInvoker`: endpoints are
-    tried healthiest-first across *all* registered bindings, every
-    attempt is policy-defended, and outcomes feed the broker's QoS loop.
+    :class:`~repro.resilience.replica.ReplicaBalancer` over *all*
+    registered bindings: P2C selection on broker health, ejection and
+    ``Retry-After`` cooling, in-call failover, every attempt
+    policy-defended, and outcomes fed back to the broker's QoS loop.
     ``policy_kwargs`` (``clock``, ``sleep``, ``rng``, ``budget``,
-    ``http_factory``, ``middlewares``) pass through to the failover
-    invoker for deterministic testing.
+    ``http_factory``, ``middlewares``) pass through to the balancer for
+    deterministic testing.
     """
     if policy is not None:
         # Lazy import: core stays importable without the resilience layer.
-        from ..resilience.binding import resilient_proxy_from_broker
+        from ..resilience.replica import resilient_proxy_from_broker
 
         return resilient_proxy_from_broker(
             broker, service_name, bus=bus, policy=policy, **policy_kwargs

@@ -268,11 +268,15 @@ class Gateway:
             or path.startswith("/traces/")
             or path == "/dependencies"
         ):
-            response = self._traces_route(request)
+            response = self._guarded_proxy(
+                request, self.trace_permission, self._trace_store, "no_trace_store"
+            )
             self._observe("/traces", "ok" if response.ok else "denied", started)
             return response
         if path == "/cache/stats":
-            response = self._cache_route(request)
+            response = self._guarded_proxy(
+                request, None, self._cache_node, "no_cache_node"
+            )
             self._observe("/cache", "ok" if response.ok else "denied", started)
             return response
         if path == "/auth/token":
@@ -300,6 +304,25 @@ class Gateway:
         return response
 
     # -- self-routes -----------------------------------------------------
+    def _guard(
+        self, request: HttpRequest, permission: Optional[str]
+    ) -> Optional[HttpResponse]:
+        """Authenticate, then require ``permission`` (``None``: any
+        *authenticated* principal — anonymous callers are always 401).
+
+        Returns the refusal to send, or ``None`` when the caller may pass.
+        """
+        try:
+            principal = self.security.authenticate(request)
+            if permission is not None:
+                self.security.authorize(principal, permission)
+            else:
+                self.security.require(principal)
+        except GatewayAuthError as exc:
+            self._refused("unauthenticated" if exc.status == 401 else "forbidden")
+            return self._auth_error_response(exc)
+        return None
+
     def _debug_route(self, request: HttpRequest) -> HttpResponse:
         """RBAC-guarded front for the observability ``/debug/*`` routes.
 
@@ -308,58 +331,57 @@ class Gateway:
         caller must present a valid bearer token carrying
         :attr:`debug_permission`.
         """
-        try:
-            principal = self.security.authenticate(request)
-            if self.debug_permission is not None:
-                self.security.authorize(principal, self.debug_permission)
-            else:
-                self.security.require(principal)
-        except GatewayAuthError as exc:
-            self._refused("unauthenticated" if exc.status == 401 else "forbidden")
-            return self._auth_error_response(exc)
+        refusal = self._guard(request, self.debug_permission)
+        if refusal is not None:
+            return refusal
         handler = self._debug_handlers.get(request.path)
         if handler is None:
             return HttpResponse.error(404, f"no debug route {request.path}")
         return handler(request)
 
+    def _guarded_proxy(
+        self,
+        request: HttpRequest,
+        permission: Optional[str],
+        upstream: Optional[tuple[str, int]],
+        missing_reason: str,
+    ) -> HttpResponse:
+        """Guarded GET proxy onto an attached plane node.
+
+        :meth:`_guard` first; then 405 for anything but GET, 503 (counted
+        as ``missing_reason``) when no node is attached, 502 when the node
+        is unreachable, else the node's answer with its content type.
+        """
+        refusal = self._guard(request, permission)
+        if refusal is not None:
+            return refusal
+        if request.method != "GET":
+            return HttpResponse.error(405, "GET only")
+        if upstream is None:
+            self._refused(missing_reason)
+            return HttpResponse.error(
+                503, missing_reason.replace("_", " ") + " attached"
+            )
+        host, port = upstream
+        try:
+            answer = self._http_clients(host, port).get(request.target)
+        except (OSError, TransportError) as exc:
+            return HttpResponse.error(502, f"{host}:{port} unreachable: {exc}")
+        content_type = (
+            answer.headers.get("Content-Type") or "application/json"
+        ).split(";")[0].strip()
+        return HttpResponse.text_response(answer.text(), answer.status, content_type)
+
     def attach_trace_store(self, host: str, port: int) -> None:
         """Front a :class:`~repro.services.tracestore.TraceStore` node.
 
         ``/traces``, ``/traces/<id>`` and ``/dependencies`` then proxy
-        (GET only, RBAC first) to the store over the shared upstream
-        pool — one place to ask "what happened to request X", guarded
-        like the debug plane.  Span *ingest* stays node→store direct;
-        the gateway fronts queries, not the firehose.
+        (GET only, :attr:`trace_permission` first) to the store over the
+        shared upstream pool — one place to ask "what happened to
+        request X", guarded like the debug plane.  Span *ingest* stays
+        node→store direct; the gateway fronts queries, not the firehose.
         """
         self._trace_store = (host, int(port))
-
-    def _traces_route(self, request: HttpRequest) -> HttpResponse:
-        """RBAC-guarded GET proxy onto the attached trace store."""
-        try:
-            principal = self.security.authenticate(request)
-            if self.trace_permission is not None:
-                self.security.authorize(principal, self.trace_permission)
-            else:
-                self.security.require(principal)
-        except GatewayAuthError as exc:
-            self._refused("unauthenticated" if exc.status == 401 else "forbidden")
-            return self._auth_error_response(exc)
-        if request.method != "GET":
-            return HttpResponse.error(405, "GET only (ingest goes direct)")
-        if self._trace_store is None:
-            self._refused("no_trace_store")
-            return HttpResponse.error(503, "no trace store attached")
-        host, port = self._trace_store
-        try:
-            upstream = self._http_clients(host, port).get(request.target)
-        except (OSError, TransportError) as exc:
-            return HttpResponse.error(502, f"trace store unreachable: {exc}")
-        content_type = (
-            upstream.headers.get("Content-Type") or "application/json"
-        ).split(";")[0].strip()
-        return HttpResponse.text_response(
-            upstream.text(), upstream.status, content_type
-        )
 
     def attach_cache(self, host: str, port: int) -> None:
         """Front a node serving :func:`~repro.services.cache_service.cache_routes`.
@@ -370,31 +392,6 @@ class Gateway:
         ``/debug``, without exposing the cache node itself.
         """
         self._cache_node = (host, int(port))
-
-    def _cache_route(self, request: HttpRequest) -> HttpResponse:
-        """Authenticated GET proxy onto the attached cache node."""
-        try:
-            principal = self.security.authenticate(request)
-            self.security.require(principal)
-        except GatewayAuthError as exc:
-            self._refused("unauthenticated" if exc.status == 401 else "forbidden")
-            return self._auth_error_response(exc)
-        if request.method != "GET":
-            return HttpResponse.error(405, "GET only")
-        if self._cache_node is None:
-            self._refused("no_cache_node")
-            return HttpResponse.error(503, "no cache node attached")
-        host, port = self._cache_node
-        try:
-            upstream = self._http_clients(host, port).get(request.target)
-        except (OSError, TransportError) as exc:
-            return HttpResponse.error(502, f"cache node unreachable: {exc}")
-        content_type = (
-            upstream.headers.get("Content-Type") or "application/json"
-        ).split(";")[0].strip()
-        return HttpResponse.text_response(
-            upstream.text(), upstream.status, content_type
-        )
 
     def _token_route(self, request: HttpRequest) -> HttpResponse:
         if request.method != "POST":

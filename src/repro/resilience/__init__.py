@@ -36,20 +36,13 @@ from .middleware import (
     ResilientInvoker,
     build_chain,
 )
-from .binding import (
-    FAILOVER_FAULTS,
-    FailoverInvoker,
-    PooledHttpClients,
-    broker_reporter,
-    failover_call,
-    invoker_for_endpoint,
-    resilient_proxy_from_broker,
-)
+from .binding import PooledHttpClients, broker_reporter, invoker_for_endpoint
 from .replica import (
+    FAILOVER_FAULTS,
     EjectionPolicy,
     HedgePolicy,
     ReplicaBalancer,
-    replica_proxy_from_broker,
+    resilient_proxy_from_broker,
 )
 from .quarantine import Quarantine
 from .chaos import ChaosEvent, ChaosPlan, ManualClock
@@ -60,11 +53,9 @@ __all__ = [
     "EndpointBreaker", "CircuitBreakerRegistry",
     "Invocation", "Observation", "Handler", "Middleware", "Reporter",
     "ResilientInvoker", "build_chain",
-    "broker_reporter", "invoker_for_endpoint", "failover_call",
-    "PooledHttpClients", "FailoverInvoker",
+    "broker_reporter", "invoker_for_endpoint", "PooledHttpClients",
     "resilient_proxy_from_broker", "FAILOVER_FAULTS",
     "EjectionPolicy", "HedgePolicy", "ReplicaBalancer",
-    "replica_proxy_from_broker",
     "Quarantine",
     "ManualClock", "ChaosEvent", "ChaosPlan",
 ]

@@ -1,10 +1,14 @@
-"""Per-endpoint circuit breakers with single-probe half-open semantics.
+"""The circuit breaker: per-endpoint, with single-probe half-open semantics.
 
-Unlike the pedagogical :class:`repro.security.reliability.CircuitBreaker`
-(which wraps one callable), these breakers guard *endpoints*: the
+:class:`EndpointBreaker` is the one breaker automaton in the codebase.
+The resilience middleware drives it through
+:meth:`~EndpointBreaker.before_call` / :meth:`~EndpointBreaker.on_success`
+/ :meth:`~EndpointBreaker.on_failure`; direct use wraps a zero-argument
+callable with ``breaker(fn)``.  Breakers guard *endpoints*: the
 :class:`CircuitBreakerRegistry` lazily creates one breaker per endpoint
 key, so a middleware chain shared by several bindings trips and recovers
-each endpoint independently.
+each endpoint independently, and every call path guarding one endpoint
+shares one automaton.
 
 Half-open allows exactly **one** probe at a time; concurrent callers fail
 fast with :class:`~repro.core.faults.ServiceUnavailable` instead of

@@ -1,9 +1,10 @@
-"""Health-gated load balancing across a replica set.
+"""Health-gated load balancing and failover across a replica set.
 
-Where :class:`~repro.resilience.binding.FailoverInvoker` walks a
-service's bindings healthiest-first (active/standby), this module
-*spreads* load across N equivalent replicas of one service — the
-horizontal scale-out the curriculum's dependability unit builds toward:
+:class:`ReplicaBalancer` is the one failover path in the codebase: it
+*spreads* load across N equivalent endpoints of one service — replicas
+of one binding behind the gateway, or every binding of a service behind
+a typed proxy (:func:`resilient_proxy_from_broker`) — the horizontal
+scale-out the curriculum's dependability unit builds toward:
 
 * selection is **power-of-two-choices** over the broker's
   staleness-decayed health scores
@@ -23,12 +24,13 @@ horizontal scale-out the curriculum's dependability unit builds toward:
   percentile of recent successes are raced against a second replica;
   first success wins, the loser is abandoned.
 
-Every replica failure still falls over to the next candidate within the
-same call (one shared failover semantics:
-:func:`~repro.resilience.binding.failover_call`), per-endpoint invokers
-share one breaker registry / retry budget / pooled HTTP client per
-authority, and every outcome feeds the broker's QoS loop — so the next
-call's health scores already know what this call learned.
+Every replica failure in :data:`FAILOVER_FAULTS` falls over to the next
+candidate within the same call (any other fault propagates at once:
+another replica of the same contract would fail identically), the
+per-endpoint invokers share one breaker registry / retry budget / pooled
+HTTP client per authority, and every outcome feeds the broker's QoS
+loop — so the next call's health scores already know what this call
+learned.
 """
 
 from __future__ import annotations
@@ -43,15 +45,18 @@ from typing import Any, Callable, Optional
 
 from ..core.broker import Endpoint, Registration, ServiceBroker
 from ..core.bus import ServiceBus
-from ..core.faults import ServiceError, ServiceUnavailable, TransportError
+from ..core.faults import (
+    ServiceError,
+    ServiceUnavailable,
+    TimeoutFault,
+    TransportError,
+)
 from ..core.proxy import ServiceProxy, make_proxy
 from ..observability.runtime import OBS
 from .binding import (
-    FAILOVER_FAULTS,
     HttpFactory,
     PooledHttpClients,
     broker_reporter,
-    failover_call,
     invoker_for_endpoint,
 )
 from .breaker import CircuitBreakerRegistry
@@ -62,8 +67,20 @@ __all__ = [
     "EjectionPolicy",
     "HedgePolicy",
     "ReplicaBalancer",
-    "replica_proxy_from_broker",
+    "resilient_proxy_from_broker",
+    "FAILOVER_FAULTS",
 ]
+
+#: Failures that justify abandoning one replica for the next: the
+#: provider refused, timed out, or was unreachable.  Application faults
+#: (bad input, unknown operation...) propagate immediately — another
+#: replica of the same contract would fail identically.
+FAILOVER_FAULTS: tuple[type[Exception], ...] = (
+    ServiceUnavailable,
+    TimeoutFault,
+    TransportError,
+    OSError,
+)
 
 
 @dataclass(frozen=True)
@@ -178,7 +195,6 @@ class ReplicaBalancer:
         http_factory: Optional[HttpFactory] = None,
         http_clients: Optional[PooledHttpClients] = None,
         middlewares: tuple[Middleware, ...] = (),
-        failover_on: tuple[type[Exception], ...] = FAILOVER_FAULTS,
     ) -> None:
         self.broker = broker
         self.service_name = service_name
@@ -193,7 +209,6 @@ class ReplicaBalancer:
         self._budget = budget
         self._http_factory = http_factory
         self._middlewares = middlewares
-        self._failover_on = failover_on
         self._breakers = (
             CircuitBreakerRegistry(self.policy.circuit, clock=clock)
             if self.policy.circuit is not None
@@ -408,7 +423,7 @@ class ReplicaBalancer:
             and self._is_idempotent(registration, operation)
         ):
             return self._call_hedged(order, registration, operation, arguments)
-        return self._call_sequential(order, registration, operation, arguments)
+        return self._failover_call(order, registration, operation, arguments)
 
     def _is_idempotent(self, registration: Registration, operation: str) -> bool:
         try:
@@ -422,23 +437,21 @@ class ReplicaBalancer:
         registration: Registration,
         operation: str,
         arguments: dict[str, Any],
-    ) -> Callable[[], Any]:
-        def call() -> Any:
-            invoker = self._invoker_for(endpoint, registration)
-            started = self._clock()
-            self._inflight_delta(endpoint, +1)
-            try:
-                result = invoker(operation, arguments)
-            except self._failover_on as exc:
-                self._record_failure(endpoint, exc)
-                self._outcome("failover")
-                raise
-            finally:
-                self._inflight_delta(endpoint, -1)
-            self._record_success(endpoint, self._clock() - started)
-            return result
-
-        return call
+    ) -> Any:
+        """One call on one replica, with its outcome booked."""
+        invoker = self._invoker_for(endpoint, registration)
+        started = self._clock()
+        self._inflight_delta(endpoint, +1)
+        try:
+            result = invoker(operation, arguments)
+        except FAILOVER_FAULTS as exc:
+            self._record_failure(endpoint, exc)
+            self._outcome("failover")
+            raise
+        finally:
+            self._inflight_delta(endpoint, -1)
+        self._record_success(endpoint, self._clock() - started)
+        return result
 
     def _inflight_delta(self, endpoint: Endpoint, delta: int) -> None:
         """Track concurrent calls per replica (capacity observability)."""
@@ -460,26 +473,32 @@ class ReplicaBalancer:
                 if state.inflight
             }
 
-    def _call_sequential(
+    def _failover_call(
         self,
         order: list[Endpoint],
         registration: Registration,
         operation: str,
         arguments: dict[str, Any],
+        last: Optional[Exception] = None,
     ) -> Any:
-        try:
-            result = failover_call(
-                (
-                    self._attempt(endpoint, registration, operation, arguments)
-                    for endpoint in order
-                ),
-                failover_on=self._failover_on,
-            )
-        except self._failover_on as exc:
-            self._outcome("error")
-            raise self._exhausted(exc) from exc
-        self._outcome("ok")
-        return result
+        """Try ``order`` in turn; the first success wins.
+
+        Failures in :data:`FAILOVER_FAULTS` move on to the next replica,
+        anything else propagates immediately.  When every replica failed,
+        the last failure (``last`` when ``order`` is empty) surfaces
+        through :meth:`_exhausted`.
+        """
+        for endpoint in order:
+            try:
+                result = self._attempt(endpoint, registration, operation, arguments)
+            except FAILOVER_FAULTS as exc:
+                last = exc
+                continue
+            self._outcome("ok")
+            return result
+        assert last is not None, "failover over an empty order"
+        self._outcome("error")
+        raise self._exhausted(last) from last
 
     def _exhausted(self, exc: Exception) -> Exception:
         """Caller-facing fault once every replica has been tried.
@@ -521,7 +540,7 @@ class ReplicaBalancer:
 
         def leg(label: str, endpoint: Endpoint) -> None:
             try:
-                value = self._attempt(endpoint, registration, operation, arguments)()
+                value = self._attempt(endpoint, registration, operation, arguments)
             except Exception as exc:  # noqa: BLE001 - transported to caller
                 outcomes.put((label, False, exc))
             else:
@@ -561,33 +580,50 @@ class ReplicaBalancer:
                     )
                 self._outcome("ok")
                 return payload
-            if not isinstance(payload, self._failover_on):
+            if not isinstance(payload, FAILOVER_FAULTS):
                 raise payload  # application fault: every replica would agree
             failures.append(payload)
         # both hedge legs failed: walk the remaining replicas in order
         spares = order[2:] if hedged else order[1:]
-        try:
-            result = failover_call(
-                (
-                    self._attempt(endpoint, registration, operation, arguments)
-                    for endpoint in spares
-                ),
-                failover_on=self._failover_on,
-                exhausted=lambda: failures[-1],
-            )
-        except self._failover_on as exc:
-            self._outcome("error")
-            raise self._exhausted(exc) from exc
-        self._outcome("ok")
-        return result
+        return self._failover_call(
+            spares, registration, operation, arguments, last=failures[-1]
+        )
 
 
-def replica_proxy_from_broker(
+def resilient_proxy_from_broker(
     broker: ServiceBroker,
     service_name: str,
-    **kwargs: Any,
+    *,
+    bus: Optional[ServiceBus] = None,
+    policy: Optional[ResiliencePolicy] = None,
+    clock: Callable[[], float] = time.monotonic,
+    sleep: Callable[[float], None] = time.sleep,
+    rng: Optional[random.Random] = None,
+    budget: Optional[RetryBudget] = None,
+    http_factory: Optional[HttpFactory] = None,
+    middlewares: tuple[Middleware, ...] = (),
 ) -> ServiceProxy:
-    """Discover ``service_name`` and bind a typed proxy over a
-    :class:`ReplicaBalancer` (kwargs are forwarded to it verbatim)."""
+    """Discover ``service_name`` and bind a typed proxy with failover.
+
+    The returned proxy validates calls against the discovered contract
+    and dispatches through a :class:`ReplicaBalancer` over *every*
+    registered binding (inproc, SOAP, REST): P2C selection on broker
+    health, ejection and ``Retry-After`` cooling, each attempt defended
+    by ``policy`` (default: a full :class:`ResiliencePolicy`), outcomes
+    reported back to the broker, and in-call failover across bindings.
+    """
     registration = broker.lookup(service_name)
-    return make_proxy(registration.contract, ReplicaBalancer(broker, service_name, **kwargs))
+    balancer = ReplicaBalancer(
+        broker,
+        service_name,
+        bus=bus,
+        policy=policy or ResiliencePolicy(),
+        binding=None,
+        clock=clock,
+        sleep=sleep,
+        rng=rng,
+        budget=budget,
+        http_factory=http_factory,
+        middlewares=middlewares,
+    )
+    return make_proxy(registration.contract, balancer)

@@ -2,8 +2,9 @@
 
 Educational ciphers and key agreement, salted password storage with the
 Figure 4 strength/match policy, bearer tokens, RBAC access control, and
-the client-side reliability patterns (retry, timeout, circuit breaker,
-replication, checkpointing, fault injection).
+the client-side reliability patterns (retry, timeout, checkpointing,
+fault injection).  The circuit breaker and replica failover live in
+:mod:`repro.resilience`.
 """
 
 from .crypto import (
@@ -29,9 +30,7 @@ from .auth import (
 from .access import AccessControl
 from .reliability import (
     Checkpointer,
-    CircuitBreaker,
     FaultInjector,
-    ReplicatedInvoker,
     with_retry,
     with_timeout,
 )
@@ -43,6 +42,5 @@ __all__ = [
     "PasswordPolicy", "hash_password", "verify_password", "PasswordVault",
     "TokenIssuer", "AuthError",
     "AccessControl",
-    "with_retry", "with_timeout", "CircuitBreaker", "ReplicatedInvoker",
-    "Checkpointer", "FaultInjector",
+    "with_retry", "with_timeout", "Checkpointer", "FaultInjector",
 ]

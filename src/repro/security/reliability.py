@@ -2,15 +2,20 @@
 
 The paper §V complains about free public services: "too slow to use
 (frequent timeout)... often offline or removed without notice".  CSE445
-Unit 6 teaches the client-side defenses.  Each pattern wraps an invokable
-(``callable(**kwargs) -> value``) and composes with the others:
+Unit 6 teaches the client-side defenses.  Each pattern here wraps an
+invokable (``callable(**kwargs) -> value``) and composes with the others:
 
 * :func:`with_retry` — bounded retries with (deterministic) backoff
 * :func:`with_timeout` — deadline enforcement on a worker thread
-* :class:`CircuitBreaker` — closed → open → half-open automaton
-* :class:`ReplicatedInvoker` — failover across equivalent providers
 * :class:`Checkpointer` — save/restore long-running computation state
 * :class:`FaultInjector` — deterministic fault injection for testing
+
+The circuit breaker and replica failover are infrastructure, and each
+has exactly one implementation in :mod:`repro.resilience`:
+:class:`~repro.resilience.breaker.EndpointBreaker` (``breaker(fn)`` runs
+a zero-argument callable under the closed → open → half-open automaton)
+and :class:`~repro.resilience.replica.ReplicaBalancer` (health-gated
+selection with in-call failover across a service's replicas).
 """
 
 from __future__ import annotations
@@ -21,15 +26,10 @@ import time
 from typing import Any, Callable, Optional, Sequence
 
 from ..core.faults import ServiceFault, TimeoutFault
-from ..resilience.binding import failover_call
-from ..resilience.breaker import EndpointBreaker
-from ..resilience.policy import CircuitPolicy
 
 __all__ = [
     "with_retry",
     "with_timeout",
-    "CircuitBreaker",
-    "ReplicatedInvoker",
     "Checkpointer",
     "FaultInjector",
 ]
@@ -121,160 +121,6 @@ def with_timeout(fn: Invokable, *, seconds: float) -> Invokable:
 
     wrapped.__name__ = f"timeout({getattr(fn, '__name__', 'fn')})"
     return wrapped
-
-
-class CircuitBreaker:
-    """The closed → open → half-open availability automaton.
-
-    .. deprecated::
-        This is now a thin shim over
-        :class:`repro.resilience.breaker.EndpointBreaker` — there is one
-        breaker automaton in the codebase, and it lives in
-        :mod:`repro.resilience`.  New code should use an
-        :class:`~repro.resilience.breaker.CircuitBreakerRegistry` (or a
-        :class:`~repro.resilience.policy.ResiliencePolicy`) directly;
-        this wrapper remains for the CSE445 Unit 6 exercises.
-
-    * closed: calls pass; ``failure_threshold`` consecutive failures trip it
-    * open: calls fail fast with :class:`ServiceUnavailable` until
-      ``recovery_seconds`` of the supplied clock elapse
-    * half-open: exactly **one** probe call at a time — concurrent callers
-      observing half-open fail fast instead of stampeding the recovering
-      provider; the probe's success closes the circuit, its failure
-      re-opens it
-
-    Fast-fail :class:`ServiceUnavailable` exceptions carry a
-    ``retry_after`` hint (remaining recovery time) that
-    :func:`with_retry` honors.  Pass ``breaker`` (e.g. from a registry's
-    :meth:`~repro.resilience.breaker.CircuitBreakerRegistry.breaker_for`)
-    to share trip/recovery state with the resilience middleware guarding
-    the same endpoint.
-    """
-
-    def __init__(
-        self,
-        fn: Invokable,
-        *,
-        failure_threshold: int = 3,
-        recovery_seconds: float = 30.0,
-        clock: Callable[[], float] = time.monotonic,
-        breaker: Optional[EndpointBreaker] = None,
-    ) -> None:
-        self.fn = fn
-        if breaker is None:
-            breaker = EndpointBreaker(
-                CircuitPolicy(
-                    failure_threshold=failure_threshold,
-                    recovery_seconds=recovery_seconds,
-                ),
-                clock=clock,
-                endpoint=getattr(fn, "__name__", "fn"),
-            )
-        self.breaker = breaker
-
-    @property
-    def failure_threshold(self) -> int:
-        return self.breaker.policy.failure_threshold
-
-    @property
-    def recovery_seconds(self) -> float:
-        return self.breaker.policy.recovery_seconds
-
-    @property
-    def clock(self) -> Callable[[], float]:
-        return self.breaker.clock
-
-    @property
-    def state(self) -> str:
-        return self.breaker.state
-
-    def __call__(self, **kwargs: Any) -> Any:
-        probing = self.breaker.before_call()
-        try:
-            result = self.fn(**kwargs)
-        except Exception:
-            self.breaker.on_failure(probing)
-            raise
-        self.breaker.on_success(probing)
-        return result
-
-
-class ReplicatedInvoker:
-    """Failover across equivalent providers (active/standby replication).
-
-    .. deprecated::
-        This is the pedagogical wrapper; ordering aside, the failover
-        semantics are :func:`repro.resilience.binding.failover_call`,
-        shared with :class:`~repro.resilience.binding.FailoverInvoker`
-        and :class:`~repro.resilience.replica.ReplicaBalancer` — which
-        add broker health, ejection and hedging.  New code should
-        balance through the broker (:mod:`repro.replication`).
-
-    Tries replicas in preference order; first success wins.  With
-    ``sticky=True`` the last successful replica is tried first next time
-    (primary promotion).  Raises the last failure if all replicas fail.
-
-    An optional ``order`` callable (returning replica indices, best
-    first) overrides the sticky rotation on every call — e.g. a ranking
-    derived from :meth:`repro.core.broker.ServiceBroker.best_by_qos`, so
-    observed QoS drives which provider is tried first.  Indices missing
-    from ``order`` are appended in sticky order as a safety net.
-    """
-
-    def __init__(
-        self,
-        replicas: Sequence[Invokable],
-        *,
-        sticky: bool = True,
-        order: Optional[Callable[[], Sequence[int]]] = None,
-    ) -> None:
-        if not replicas:
-            raise ValueError("need at least one replica")
-        self._replicas = list(replicas)
-        self.sticky = sticky
-        self.order = order
-        self._preferred = 0
-        self._lock = threading.Lock()
-
-    def _call_order(self) -> list[int]:
-        with self._lock:
-            sticky_order = list(range(len(self._replicas)))
-            sticky_order = (
-                sticky_order[self._preferred :] + sticky_order[: self._preferred]
-            )
-        if self.order is None:
-            return sticky_order
-        ranked = [
-            index
-            for index in self.order()
-            if 0 <= index < len(self._replicas)
-        ]
-        ranked.extend(index for index in sticky_order if index not in ranked)
-        return ranked
-
-    def __call__(self, **kwargs: Any) -> Any:
-        def attempt(index: int) -> Invokable:
-            def call() -> Any:
-                result = self._replicas[index](**kwargs)
-                if self.sticky:
-                    with self._lock:
-                        self._preferred = index
-                return result
-
-            return call
-
-        # Legacy semantics fail over on *any* exception (the course
-        # exercises inject plain ServiceFaults); the shared helper keeps
-        # the try-next/raise-last discipline identical to the new stack.
-        return failover_call(
-            (attempt(index) for index in self._call_order()),
-            failover_on=(Exception,),
-        )
-
-    @property
-    def preferred_replica(self) -> int:
-        with self._lock:
-            return self._preferred
 
 
 class Checkpointer:

@@ -21,7 +21,6 @@ from ..observability.metrics import MetricFamily
 from ..observability.runtime import OBS
 from ..observability.trace import TRACEPARENT_HEADER
 from .http11 import (
-    HttpError,
     HttpRequest,
     HttpResponse,
     _Headers,
@@ -362,9 +361,14 @@ class HttpClient:
         propagation from this one seam.
 
         Only idempotent methods are retried (once, on a fresh socket)
-        after a mid-exchange failure; for everything the stale probe in
-        the pool already covers the "connection died before any bytes
-        were written" case by never handing out a detectably-dead socket.
+        after a mid-exchange socket failure (``OSError``, including a
+        peer that closed without answering); for everything the stale
+        probe in the pool already covers the "connection died before any
+        bytes were written" case by never handing out a detectably-dead
+        socket.  A malformed response
+        (:class:`~repro.transport.http11.HttpError`) is never
+        replayed: a live peer that framed one answer wrongly would frame
+        the replay the same way, so the error surfaces at once.
         """
         if OBS.enabled and OBS.tracer.sampling:
             context = OBS.tracer.current()
@@ -390,7 +394,7 @@ class HttpClient:
                     request.version, request.headers
                 ) and keeps_alive(response.version, response.headers)
                 return self._resolve_validation(request, response, stored)
-            except (OSError, HttpError):
+            except OSError:
                 if attempt >= attempts:
                     raise
             finally:

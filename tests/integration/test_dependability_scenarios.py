@@ -4,7 +4,8 @@ The paper's §V complains that free public services are slow, time out,
 and vanish without notice.  These scenarios inject exactly those faults
 into our own stack and verify the Unit 6 defenses hold:
 
-* provider vanishes mid-session → broker lease expiry + failover replica
+* provider vanishes mid-session → replica failover while the broker
+  still lists it
 * provider is intermittently slow → timeout + retry
 * provider crash-loops → circuit breaker sheds load
 * directory HTML view + registration survive malformed submissions
@@ -24,13 +25,8 @@ from repro.core import (
     operation,
 )
 from repro.directory import render_directory_html
-from repro.security import (
-    CircuitBreaker,
-    FaultInjector,
-    ReplicatedInvoker,
-    with_retry,
-    with_timeout,
-)
+from repro.resilience import CircuitPolicy, EndpointBreaker, ReplicaBalancer
+from repro.security import FaultInjector, with_retry, with_timeout
 
 
 class Quote(Service):
@@ -46,35 +42,32 @@ class Quote(Service):
         return {"symbol": symbol, "price": 42.0, "provider": self.tag}
 
 
+class InOrder:
+    """Deterministic rng stand-in: the balancer samples replicas in
+    publication order, so on a health tie the primary goes first."""
+
+    def sample(self, population, k):
+        return list(population)[:k]
+
+
 class TestVanishingProvider:
     def test_lease_expiry_then_failover(self):
-        """Primary's lease lapses; replicated invoker fails over to the
-        mirror published under a different name."""
+        """The primary vanishes without notice: its host is gone, but the
+        broker lists it until the registration's lease lapses.  In that
+        window the balancer fails over to the mirror within the call, and
+        the QoS books send later calls straight to the mirror."""
         broker, bus = ServiceBroker(), ServiceBus()
-        primary = Quote("primary")
-        mirror = Quote("mirror")
-        contract_primary = primary.contract()
-        contract_primary.name = "QuotePrimary"
-        contract_mirror = mirror.contract()
-        contract_mirror.name = "QuoteMirror"
-        address_primary = bus.host(primary, "quote-primary")
-        address_mirror = bus.host(mirror, "quote-mirror")
-        broker.publish(contract_primary, Endpoint("inproc", address_primary), lease_seconds=60)
-        broker.publish(contract_mirror, Endpoint("inproc", address_mirror), lease_seconds=10**9)
-
-        def call_named(name):
-            def invoke(**kwargs):
-                endpoint = broker.endpoint_for(name, "inproc")  # raises if expired
-                return bus.call(endpoint.address, "quote", kwargs)
-
-            return invoke
-
-        invoker = ReplicatedInvoker([call_named("QuotePrimary"), call_named("QuoteMirror")])
-        assert invoker(symbol="ASU")["provider"] == "primary"
-        broker.advance(61)  # the primary vanishes "without notice"
-        assert invoker(symbol="ASU")["provider"] == "mirror"
-        # sticky preference: next call goes straight to the mirror
-        assert invoker.preferred_replica == 1
+        primary = Endpoint("inproc", bus.host(Quote("primary"), "quote-primary"))
+        mirror = Endpoint("inproc", bus.host(Quote("mirror"), "quote-mirror"))
+        broker.publish(Quote.contract(), [primary, mirror], lease_seconds=60)
+        balancer = ReplicaBalancer(broker, "Quote", bus=bus, rng=InOrder())
+        assert balancer("quote", {"symbol": "ASU"})["provider"] == "primary"
+        bus.unhost("quote-primary")  # the primary vanishes "without notice"
+        broker.advance(30)  # lease still valid: the broker lists both
+        assert balancer("quote", {"symbol": "ASU"})["provider"] == "mirror"
+        assert balancer("quote", {"symbol": "ASU"})["provider"] == "mirror"
+        # one failed attempt on the vanished primary, then it is avoided
+        assert broker.lookup("Quote").qos_for(primary).faults == 1
 
 
 class TestSlowProvider:
@@ -113,29 +106,29 @@ class TestCrashLoopingProvider:
         clock = {"t": 0.0}
         state = {"healthy": False, "calls": 0}
 
-        def flapping(**kwargs):
+        def flapping():
             state["calls"] += 1
             if not state["healthy"]:
                 raise ServiceFault("crash")
             return "ok"
 
-        breaker = CircuitBreaker(
-            flapping, failure_threshold=2, recovery_seconds=30,
+        breaker = EndpointBreaker(
+            CircuitPolicy(failure_threshold=2, recovery_seconds=30),
             clock=lambda: clock["t"],
         )
         for _ in range(2):
             with pytest.raises(ServiceFault):
-                breaker()
+                breaker(flapping)
         # open: the provider is protected from the thundering herd
         calls_when_opened = state["calls"]
         for _ in range(10):
             with pytest.raises(ServiceUnavailable):
-                breaker()
+                breaker(flapping)
         assert state["calls"] == calls_when_opened  # zero calls while open
         # recovery
         clock["t"] = 31
         state["healthy"] = True
-        assert breaker() == "ok"
+        assert breaker(flapping) == "ok"
         assert breaker.state == "closed"
 
 

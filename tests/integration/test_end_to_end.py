@@ -26,7 +26,8 @@ from repro.directory import (
     synthetic_service_web,
 )
 from repro.robotics import CommandProgram, corridor, make_robot_service
-from repro.security import CircuitBreaker, FaultInjector, with_retry
+from repro.resilience import CircuitPolicy, EndpointBreaker
+from repro.security import FaultInjector, with_retry
 from repro.services import CreditScoreService, EncryptionService, build_repository, mount_all
 from repro.transport import (
     HttpClient,
@@ -233,19 +234,24 @@ class TestDependabilityComposition:
     def test_circuit_breaker_guards_dead_endpoint(self):
         clock = {"t": 0.0}
 
-        def dead(**kwargs):
+        calls = []
+
+        def dead():
+            calls.append(1)
             raise ServiceFault("connection refused")
 
-        breaker = CircuitBreaker(
-            dead, failure_threshold=2, recovery_seconds=60, clock=lambda: clock["t"]
+        breaker = EndpointBreaker(
+            CircuitPolicy(failure_threshold=2, recovery_seconds=60),
+            clock=lambda: clock["t"],
         )
         for _ in range(2):
             with pytest.raises(ServiceFault):
-                breaker()
+                breaker(dead)
         from repro.core import ServiceUnavailable
 
         with pytest.raises(ServiceUnavailable):
-            breaker()  # fails fast without hitting the endpoint
+            breaker(dead)  # fails fast without hitting the endpoint
+        assert len(calls) == 2
 
 
 class TestFigure4OverSocket:

@@ -75,6 +75,7 @@ def test_resilient_client():
     assert "broker saw faults: True" in out
     assert "after recovery: 45.0" in out
     assert "failover call: 45.0" in out
+    assert "dead site tried first, faults seen: 1" in out
     assert "broker now prefers: inproc://quoteservice" in out
     assert "simulated seconds elapsed: 35.0" in out
 

@@ -1,9 +1,10 @@
 """Failover across bindings, broker endpoint preference, and the QoS loop.
 
-The tentpole claim under test: the broker learns which endpoints are
-healthy from policy outcomes, and the resilient proxy uses that knowledge
-to prefer healthy endpoints and fail over across *bindings* — inproc,
-SOAP, and REST are interchangeable faces of one contract.
+The claim under test: the broker learns which endpoints are healthy
+from policy outcomes, and the replica balancer behind the resilient
+proxy uses that knowledge to prefer healthy endpoints and fail over
+across *bindings* — inproc, SOAP, and REST are interchangeable faces of
+one contract.
 """
 
 import pytest
@@ -15,14 +16,15 @@ from repro.core import (
     ServiceBroker,
     ServiceBus,
     ServiceUnavailable,
+    TransportError,
     operation,
     proxy_from_broker,
 )
 from repro.core.service import ServiceHost
 from repro.resilience import (
     CircuitPolicy,
-    FailoverInvoker,
     ManualClock,
+    ReplicaBalancer,
     ResiliencePolicy,
     RetryPolicy,
     broker_reporter,
@@ -30,7 +32,6 @@ from repro.resilience import (
     resilient_proxy_from_broker,
 )
 from repro.resilience.middleware import Observation
-from repro.security.reliability import ReplicatedInvoker
 from repro.transport.http11 import HttpRequest
 from repro.transport.rest import RestEndpoint
 from repro.transport.soap import SoapEndpoint
@@ -94,6 +95,26 @@ def http_factory_for(handlers):
 
 
 NO_WAIT = ResiliencePolicy(retry=RetryPolicy(attempts=1), circuit=None)
+
+
+class PublicationOrder:
+    """Deterministic rng stand-in: P2C samples endpoints in publication
+    order, so on a health tie the first-published endpoint goes first."""
+
+    def sample(self, population, k):
+        return list(population)[:k]
+
+    def random(self):
+        return 0.5  # retry jitter of zero
+
+
+def balancer(broker, **kwargs):
+    """An ``Echo`` balancer over every binding, on a manual clock."""
+    clock = ManualClock()
+    kwargs.setdefault("sleep", clock.advance)
+    return ReplicaBalancer(
+        broker, "Echo", clock=clock, rng=PublicationOrder(), **kwargs
+    )
 
 
 class TestEndpointPreference:
@@ -170,10 +191,7 @@ class TestInprocFailover:
 
     def test_fails_over_to_healthy_endpoint(self):
         broker, bus, down, up = self.make_world()
-        clock = ManualClock()
-        invoker = FailoverInvoker(
-            broker, "Echo", bus=bus, policy=NO_WAIT, clock=clock, sleep=clock.advance
-        )
+        invoker = balancer(broker, bus=bus, policy=NO_WAIT)
         assert invoker("say", {"text": "hi"}) == "hi"
         reg = broker.lookup("Echo")
         assert reg.qos_for(Endpoint("inproc", down)).faults == 1
@@ -181,10 +199,7 @@ class TestInprocFailover:
 
     def test_qos_loop_reorders_next_call(self):
         broker, bus, down, up = self.make_world()
-        clock = ManualClock()
-        invoker = FailoverInvoker(
-            broker, "Echo", bus=bus, policy=NO_WAIT, clock=clock, sleep=clock.advance
-        )
+        invoker = balancer(broker, bus=bus, policy=NO_WAIT)
         invoker("say", {"text": "first"})
         # The broker learned: the dead endpoint now ranks last.
         preferred = broker.endpoints_by_preference("Echo")
@@ -202,19 +217,30 @@ class TestInprocFailover:
         bus = ServiceBus()
         down = bus.host(DownEcho(), "echo-down")
         broker.publish(Echo.contract(), [Endpoint("inproc", down)])
-        clock = ManualClock()
-        invoker = FailoverInvoker(
-            broker, "Echo", bus=bus, policy=NO_WAIT, clock=clock, sleep=clock.advance
-        )
+        invoker = balancer(broker, bus=bus, policy=NO_WAIT)
         with pytest.raises(ServiceUnavailable):
             invoker("say", {"text": "hi"})
 
+    def test_proxy_defaults_to_the_full_policy(self):
+        """Without a policy the proxy retries (``ResiliencePolicy()``),
+        where a bare balancer defaults to ``unprotected()``."""
+        broker = ServiceBroker()
+        bus = ServiceBus()
+        down = bus.host(DownEcho(), "echo-down")
+        broker.publish(Echo.contract(), [Endpoint("inproc", down)])
+        slept = []
+        proxy = resilient_proxy_from_broker(
+            broker, "Echo", bus=bus, clock=ManualClock(), sleep=slept.append
+        )
+        with pytest.raises(ServiceUnavailable):
+            proxy.say(text="hi")
+        # three attempts, each wait floored at the provider's Retry-After
+        assert slept == [pytest.approx(5.0)] * 2
+        assert broker.lookup("Echo").qos_for(Endpoint("inproc", down)).samples == 3
+
     def test_application_faults_do_not_fail_over(self):
         broker, bus, down, up = self.make_world()
-        clock = ManualClock()
-        invoker = FailoverInvoker(
-            broker, "Echo", bus=bus, policy=NO_WAIT, clock=clock, sleep=clock.advance
-        )
+        invoker = balancer(broker, bus=bus, policy=NO_WAIT)
         # Unknown operation is a Client.* fault: retrying another binding of
         # the same contract would fail identically, so it must propagate.
         from repro.core import UnknownOperation
@@ -227,14 +253,11 @@ class TestInprocFailover:
         bus = ServiceBus()
         down = bus.host(DownEcho(), "echo-down")
         broker.publish(Echo.contract(), [Endpoint("inproc", down)])
-        clock = ManualClock()
         policy = ResiliencePolicy(
             retry=RetryPolicy(attempts=1),
             circuit=CircuitPolicy(failure_threshold=1, recovery_seconds=60.0),
         )
-        invoker = FailoverInvoker(
-            broker, "Echo", bus=bus, policy=policy, clock=clock, sleep=clock.advance
-        )
+        invoker = balancer(broker, bus=bus, policy=policy)
         with pytest.raises(ServiceUnavailable):
             invoker("say", {"text": "a"})  # trips the breaker
         assert invoker.breakers.states()[f"inproc:{down}"] == "open"
@@ -267,15 +290,7 @@ class TestCrossBindingFailover:
 
     def test_soap_down_rest_answers(self):
         broker, factory = self.make_world()
-        clock = ManualClock()
-        invoker = FailoverInvoker(
-            broker,
-            "Echo",
-            policy=NO_WAIT,
-            clock=clock,
-            sleep=clock.advance,
-            http_factory=factory,
-        )
+        invoker = balancer(broker, policy=NO_WAIT, http_factory=factory)
         assert invoker("say", {"text": "over the wire"}) == "over the wire"
         hosts = [host for host, _, _ in factory.made]
         assert hosts == ["soap-host", "rest-host"]
@@ -285,19 +300,12 @@ class TestCrossBindingFailover:
 
     def test_soap_503_carries_retry_after_hint(self):
         broker, factory = self.make_world()
-        clock = ManualClock()
         slept = []
-
-        def sleep(seconds):
-            slept.append(seconds)
-            clock.advance(seconds)
-
         policy = ResiliencePolicy(
             retry=RetryPolicy(attempts=2, base_delay=0.0), circuit=None
         )
-        invoker = FailoverInvoker(
-            broker, "Echo", policy=policy, clock=clock, sleep=sleep,
-            http_factory=factory,
+        invoker = balancer(
+            broker, policy=policy, sleep=slept.append, http_factory=factory
         )
         assert invoker("say", {"text": "x"}) == "x"
         # The provider's retry_after=5.0 crossed the SOAP wire as a 503
@@ -316,6 +324,27 @@ class TestCrossBindingFailover:
             http_factory=factory,
         )
         assert proxy.say(text="typed and defended") == "typed and defended"
+
+    def test_raw_socket_errors_surface_as_transport_error(self):
+        """Mid-call failover accepts a raw ``OSError`` from each binding;
+        once every endpoint failed, the caller sees the fault taxonomy."""
+        broker, _ = self.make_world()
+
+        def refused(request):
+            raise ConnectionRefusedError("connection refused")
+
+        factory = http_factory_for({"soap-host": refused, "rest-host": refused})
+        clock = ManualClock()
+        proxy = resilient_proxy_from_broker(
+            broker, "Echo", policy=NO_WAIT, clock=clock, sleep=clock.advance,
+            http_factory=factory,
+        )
+        with pytest.raises(TransportError, match="all replicas") as excinfo:
+            proxy.say(text="anyone?")
+        assert isinstance(excinfo.value.__cause__, ConnectionRefusedError)
+        assert sorted(host for host, _, _ in factory.made) == [
+            "rest-host", "soap-host",
+        ]
 
     def test_proxy_validates_against_discovered_contract(self):
         broker, factory = self.make_world()
@@ -337,14 +366,10 @@ class TestCrossBindingFailover:
 
 class TestInvokerForEndpoint:
     def test_inproc_requires_bus(self):
-        from repro.core import TransportError
-
         with pytest.raises(TransportError):
             invoker_for_endpoint(Endpoint("inproc", "inproc://echo"), Echo.contract())
 
     def test_unknown_binding_rejected(self):
-        from repro.core import TransportError
-
         with pytest.raises(TransportError):
             invoker_for_endpoint(Endpoint("carrier-pigeon", "coop://1"), Echo.contract())
 
@@ -390,50 +415,20 @@ class TestProxyFromBrokerPolicyPath:
         assert reg.qos_for(Endpoint("inproc", "inproc://echo")).samples == 1
 
 
-class TestReplicatedInvokerOrder:
-    def test_order_callable_overrides_sticky(self):
-        calls = []
-
-        def replica(tag):
-            def run(**kwargs):
-                calls.append(tag)
-                return tag
-
-            return run
-
-        invoker = ReplicatedInvoker(
-            [replica("a"), replica("b"), replica("c")], order=lambda: [2, 0, 1]
-        )
-        assert invoker() == "c"
-        assert calls == ["c"]
-
+class TestBalancerOrder:
     def test_order_from_broker_qos(self):
+        """The broker's QoS books, not publication order, pick the first
+        endpoint: a reported fault sends the call straight past it."""
         broker = ServiceBroker()
         bus = ServiceBus()
-        bus.host_and_publish(Echo(), broker)
-        reg = broker.lookup("Echo")
-        endpoints = reg.endpoints
-        broker.report("Echo", 0.1, fault=True, endpoint=endpoints[0])
-
-        def order():
-            preferred = broker.endpoints_by_preference("Echo")
-            return [endpoints.index(e) for e in preferred]
-
-        seen = []
-        invoker = ReplicatedInvoker(
-            [lambda **kw: seen.append(0) or "zero"], order=order
+        down = bus.host(DownEcho(), "echo-down")
+        up = bus.host(Echo(), "echo-up")
+        broker.publish(
+            Echo.contract(), [Endpoint("inproc", down), Endpoint("inproc", up)]
         )
-        assert invoker() == "zero"
-
-    def test_invalid_indices_skipped_missing_appended(self):
-        def ok(**kwargs):
-            return "ok"
-
-        def bad(**kwargs):
-            raise ServiceUnavailable("no")
-
-        invoker = ReplicatedInvoker([bad, ok], order=lambda: [7, -1])
-        # order() gave only junk: sticky order is the safety net, and the
-        # failover semantics still reach the good replica.
-        assert invoker() == "ok"
-        assert invoker.preferred_replica == 1
+        broker.report("Echo", 0.1, fault=True, endpoint=Endpoint("inproc", down))
+        invoker = balancer(broker, bus=bus, policy=NO_WAIT)
+        assert invoker("say", {"text": "hi"}) == "hi"
+        reg = broker.lookup("Echo")
+        assert reg.qos_for(Endpoint("inproc", down)).samples == 1  # the report
+        assert reg.qos_for(Endpoint("inproc", up)).samples == 1

@@ -27,7 +27,8 @@ from repro.resilience import (
     HedgePolicy,
     ManualClock,
     ReplicaBalancer,
-    replica_proxy_from_broker,
+    ResiliencePolicy,
+    resilient_proxy_from_broker,
 )
 
 
@@ -121,7 +122,9 @@ class TestSelection:
 
     def test_typed_proxy_rides_the_balancer(self):
         bus, broker, replicas, _ = replicated(2)
-        proxy = replica_proxy_from_broker(broker, "WorkService", bus=bus)
+        proxy = resilient_proxy_from_broker(
+            broker, "WorkService", bus=bus, policy=ResiliencePolicy.unprotected()
+        )
         assert proxy.work(tag="x").endswith(":x")
         with pytest.raises(ServiceFault):
             proxy.work(wrong_arg=1)  # the contract still validates

@@ -1,17 +1,38 @@
-"""Tests for authentication, RBAC, and reliability patterns."""
+"""Tests for authentication, RBAC, and reliability patterns.
+
+The circuit breaker and replica failover cases run against their one
+implementation each, :class:`EndpointBreaker` and
+:class:`ReplicaBalancer` from :mod:`repro.resilience`.
+"""
 
 import pytest
 
-from repro.core import AccessDenied, ServiceFault, ServiceUnavailable, TimeoutFault
+from repro.core import (
+    AccessDenied,
+    Endpoint,
+    Service,
+    ServiceBroker,
+    ServiceBus,
+    ServiceFault,
+    ServiceUnavailable,
+    TimeoutFault,
+    operation,
+)
+from repro.resilience import (
+    CircuitBreakerRegistry,
+    CircuitPolicy,
+    EndpointBreaker,
+    ReplicaBalancer,
+    ResiliencePolicy,
+    ResilientInvoker,
+)
 from repro.security import (
     AccessControl,
     AuthError,
     Checkpointer,
-    CircuitBreaker,
     FaultInjector,
     PasswordPolicy,
     PasswordVault,
-    ReplicatedInvoker,
     TokenIssuer,
     hash_password,
     verify_password,
@@ -266,135 +287,137 @@ class TestTimeout:
             with_timeout(lambda: None, seconds=0)
 
 
+def failing_with(message):
+    def fail():
+        raise ServiceFault(message)
+
+    return fail
+
+
 class TestCircuitBreaker:
-    def make(self, fn, **kwargs):
+    def make(self, failure_threshold):
         self.clock = {"t": 0.0}
-        return CircuitBreaker(
-            fn, clock=lambda: self.clock["t"], recovery_seconds=30, **kwargs
+        return EndpointBreaker(
+            CircuitPolicy(failure_threshold=failure_threshold, recovery_seconds=30),
+            clock=lambda: self.clock["t"],
         )
 
     def test_trips_after_threshold(self):
-        def failing(**kwargs):
-            raise ServiceFault("down")
-
-        breaker = self.make(failing, failure_threshold=3)
+        breaker = self.make(failure_threshold=3)
         for _ in range(3):
             with pytest.raises(ServiceFault):
-                breaker()
+                breaker(failing_with("down"))
         assert breaker.state == "open"
         with pytest.raises(ServiceUnavailable):
-            breaker()
+            breaker(failing_with("down"))
 
     def test_half_open_probe_success_closes(self):
-        state = {"healthy": False}
-
-        def sometimes(**kwargs):
-            if not state["healthy"]:
-                raise ServiceFault("down")
-            return "ok"
-
-        breaker = self.make(sometimes, failure_threshold=1)
+        breaker = self.make(failure_threshold=1)
         with pytest.raises(ServiceFault):
-            breaker()
+            breaker(failing_with("down"))
         assert breaker.state == "open"
         self.clock["t"] = 31
-        state["healthy"] = True
-        assert breaker() == "ok"
+        assert breaker(lambda: "ok") == "ok"
         assert breaker.state == "closed"
 
     def test_half_open_probe_failure_reopens(self):
-        def failing(**kwargs):
-            raise ServiceFault("still down")
-
-        breaker = self.make(failing, failure_threshold=1)
+        breaker = self.make(failure_threshold=1)
         with pytest.raises(ServiceFault):
-            breaker()
+            breaker(failing_with("still down"))
         self.clock["t"] = 31
         assert breaker.state == "half-open"
         with pytest.raises(ServiceFault):
-            breaker()
+            breaker(failing_with("still down"))
         assert breaker.state == "open"
         with pytest.raises(ServiceUnavailable):
-            breaker()
+            breaker(failing_with("still down"))
 
     def test_success_resets_failure_count(self):
         plan = iter([True, True, False, True, True, False])
 
-        def mostly_ok(**kwargs):
+        def mostly_ok():
             if next(plan):
                 return "ok"
             raise ServiceFault("blip")
 
-        breaker = self.make(mostly_ok, failure_threshold=2)
-        breaker()
-        breaker()
+        breaker = self.make(failure_threshold=2)
+        breaker(mostly_ok)
+        breaker(mostly_ok)
         with pytest.raises(ServiceFault):
-            breaker()
-        breaker()
-        breaker()
+            breaker(mostly_ok)
+        breaker(mostly_ok)
+        breaker(mostly_ok)
         with pytest.raises(ServiceFault):
-            breaker()
+            breaker(mostly_ok)
         assert breaker.state == "closed"  # never two consecutive failures
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            CircuitBreaker(lambda: None, failure_threshold=0)
+            CircuitPolicy(failure_threshold=0)
+
+
+class Mirror(Service):
+    """One replica of a mirrored provider; ``failure`` switches it off."""
+
+    category = "demo"
+
+    def __init__(self, tag, failure=None):
+        self.tag = tag
+        self.failure = failure
+        self.calls = 0
+
+    @operation
+    def fetch(self) -> str:
+        """Answer with this replica's tag, or raise its failure."""
+        self.calls += 1
+        if self.failure is not None:
+            raise self.failure
+        return self.tag
+
+
+class InOrder:
+    """Deterministic rng stand-in: P2C samples replicas in publication
+    order, so on a health tie the first-published replica goes first."""
+
+    def sample(self, population, k):
+        return list(population)[:k]
+
+
+def mirrored(*replicas, binding=None):
+    """Publish ``replicas`` as one replica set; balance over it."""
+    bus, broker = ServiceBus(), ServiceBroker()
+    endpoints = [
+        Endpoint("inproc", bus.host(replica, f"mirror-{index}"))
+        for index, replica in enumerate(replicas)
+    ]
+    broker.publish(Mirror.contract(), endpoints)
+    balancer = ReplicaBalancer(
+        broker, "Mirror", bus=bus, binding=binding, rng=InOrder()
+    )
+    return broker, endpoints, balancer
 
 
 class TestReplication:
     def test_failover_to_secondary(self):
-        def primary(**kwargs):
-            raise ServiceFault("primary down")
-
-        invoker = ReplicatedInvoker([primary, lambda **kw: "secondary"])
-        assert invoker() == "secondary"
-        assert invoker.preferred_replica == 1
-
-    def test_sticky_preference(self):
-        calls = []
-
-        def a(**kwargs):
-            calls.append("a")
-            raise ServiceFault("down")
-
-        def b(**kwargs):
-            calls.append("b")
-            return "b"
-
-        invoker = ReplicatedInvoker([a, b], sticky=True)
-        invoker()
-        invoker()
-        assert calls == ["a", "b", "b"]  # second call goes straight to b
-
-    def test_non_sticky(self):
-        calls = []
-
-        def a(**kwargs):
-            calls.append("a")
-            raise ServiceFault("down")
-
-        def b(**kwargs):
-            calls.append("b")
-            return "b"
-
-        invoker = ReplicatedInvoker([a, b], sticky=False)
-        invoker()
-        invoker()
-        assert calls == ["a", "b", "a", "b"]
+        primary = Mirror("primary", ServiceUnavailable("primary down"))
+        secondary = Mirror("secondary")
+        _, _, balancer = mirrored(primary, secondary)
+        assert balancer("fetch", {}) == "secondary"
+        assert (primary.calls, secondary.calls) == (1, 1)
 
     def test_all_fail_reraises_last(self):
-        def f1(**kwargs):
-            raise ServiceFault("one")
-
-        def f2(**kwargs):
-            raise ServiceFault("two")
-
+        _, _, balancer = mirrored(
+            Mirror("a", ServiceUnavailable("one")),
+            Mirror("b", ServiceUnavailable("two")),
+        )
         with pytest.raises(ServiceFault, match="two"):
-            ReplicatedInvoker([f1, f2])()
+            balancer("fetch", {})
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            ReplicatedInvoker([])
+        # no endpoint of the requested binding: nothing to balance over
+        _, _, balancer = mirrored(Mirror("a"), binding="soap")
+        with pytest.raises(ServiceUnavailable, match="no replicas"):
+            balancer("fetch", {})
 
 
 class TestCheckpointer:
@@ -464,10 +487,11 @@ class TestCircuitBreakerHalfOpenRace:
     just started recovering.
     """
 
-    def make(self, fn, **kwargs):
+    def make(self, failure_threshold):
         self.clock = {"t": 0.0}
-        return CircuitBreaker(
-            fn, clock=lambda: self.clock["t"], recovery_seconds=30, **kwargs
+        return EndpointBreaker(
+            CircuitPolicy(failure_threshold=failure_threshold, recovery_seconds=30),
+            clock=lambda: self.clock["t"],
         )
 
     def test_concurrent_half_open_callers_single_probe(self):
@@ -477,24 +501,21 @@ class TestCircuitBreakerHalfOpenRace:
         release_probe = threading.Event()
         provider_calls = []
 
-        def slow_recovering(**kwargs):
+        def slow_recovering():
             provider_calls.append(1)
             probe_entered.set()
             release_probe.wait(timeout=5)
             return "recovered"
 
-        breaker = self.make(slow_recovering, failure_threshold=1)
-        # Trip it.
-        breaker.fn = lambda **kw: (_ for _ in ()).throw(ServiceFault("down"))
+        breaker = self.make(failure_threshold=1)
         with pytest.raises(ServiceFault):
-            breaker()
-        breaker.fn = slow_recovering
+            breaker(failing_with("down"))  # trip it
         self.clock["t"] = 31  # past recovery: next caller becomes THE probe
 
         results = {}
 
         def probe():
-            results["probe"] = breaker()
+            results["probe"] = breaker(slow_recovering)
 
         thread = threading.Thread(target=probe)
         thread.start()
@@ -502,7 +523,7 @@ class TestCircuitBreakerHalfOpenRace:
         # A second caller while the probe is in flight: fail fast, never
         # reach the provider.
         with pytest.raises(ServiceUnavailable) as excinfo:
-            breaker()
+            breaker(slow_recovering)
         assert excinfo.value.retry_after is not None
         release_probe.set()
         thread.join(timeout=5)
@@ -513,33 +534,30 @@ class TestCircuitBreakerHalfOpenRace:
     def test_probe_failure_keeps_single_probe_invariant(self):
         attempts = []
 
-        def failing(**kwargs):
+        def failing():
             attempts.append(1)
             raise ServiceFault("still down")
 
-        breaker = self.make(failing, failure_threshold=1)
+        breaker = self.make(failure_threshold=1)
         with pytest.raises(ServiceFault):
-            breaker()
+            breaker(failing)
         self.clock["t"] = 31
         with pytest.raises(ServiceFault):
-            breaker()  # the probe itself
+            breaker(failing)  # the probe itself
         # Probe failed: circuit re-opened, flag released — after another
         # recovery window a fresh probe is admitted (no stuck flag).
         self.clock["t"] = 62
         with pytest.raises(ServiceFault):
-            breaker()
+            breaker(failing)
         assert len(attempts) == 3
 
     def test_open_fast_fail_carries_retry_after(self):
-        def failing(**kwargs):
-            raise ServiceFault("down")
-
-        breaker = self.make(failing, failure_threshold=1)
+        breaker = self.make(failure_threshold=1)
         with pytest.raises(ServiceFault):
-            breaker()
+            breaker(failing_with("down"))
         self.clock["t"] = 10  # 20s of the 30s recovery remain
         with pytest.raises(ServiceUnavailable) as excinfo:
-            breaker()
+            breaker(failing_with("down"))
         assert excinfo.value.retry_after == pytest.approx(20.0)
 
 
@@ -631,93 +649,85 @@ class TestRetryJitterAndRetryAfter:
             with_retry(lambda **kw: None, jitter=1.5)
 
 
-class TestReplicatedInvokerQosOrder:
-    """Satellite: QoS-derived ordering overrides sticky rotation."""
+class TestBalancerQosOrder:
+    """The broker's QoS books order every call of the balancer."""
 
-    def test_order_callable_is_consulted_every_call(self):
-        calls = []
-
-        def replica(tag):
-            def run(**kwargs):
-                calls.append(tag)
-                return tag
-
-            return run
-
-        ranking = {"order": [1, 0]}
-        invoker = ReplicatedInvoker(
-            [replica("a"), replica("b")], order=lambda: ranking["order"]
-        )
-        assert invoker() == "b"
-        ranking["order"] = [0, 1]
-        assert invoker() == "a"
-        assert calls == ["b", "a"]
-
-    def test_out_of_range_indices_ignored(self):
-        invoker = ReplicatedInvoker(
-            [lambda **kw: "only"], order=lambda: [5, -2, 0]
-        )
-        assert invoker() == "only"
+    def test_health_read_every_call(self):
+        a, b = Mirror("a"), Mirror("b")
+        broker, (first, second), balancer = mirrored(a, b)
+        broker.report("Mirror", 0.01, fault=True, endpoint=first)
+        assert balancer("fetch", {}) == "b"
+        for _ in range(3):  # the books turn: a recovers, b starts failing
+            broker.report("Mirror", 0.01, endpoint=first)
+            broker.report("Mirror", 0.01, fault=True, endpoint=second)
+        assert balancer("fetch", {}) == "a"
+        assert (a.calls, b.calls) == (1, 1)
 
 
 class TestSharedBreakerState:
-    """Regression for the PR-6 unification: the security-layer
-    CircuitBreaker is a shim over the resilience layer's EndpointBreaker,
-    so both call paths guarding one endpoint share one automaton."""
+    """Both call paths guarding one endpoint share one automaton: the
+    direct ``breaker(fn)`` path and the resilience middleware, which
+    reach it through one :class:`CircuitBreakerRegistry`."""
+
+    KEY = "rest:http://h:1/rest/Echo"
 
     def make_shared(self):
-        from repro.resilience.breaker import CircuitBreakerRegistry
-        from repro.resilience.policy import CircuitPolicy
-
         self.clock = {"t": 0.0}
         registry = CircuitBreakerRegistry(
             CircuitPolicy(failure_threshold=2, recovery_seconds=30.0),
             clock=lambda: self.clock["t"],
         )
-        return registry, registry.breaker_for("rest:http://h:1/rest/Echo")
+        return registry, registry.breaker_for(self.KEY)
+
+    def defended(self, registry, raw):
+        """The middleware path: a breaker-only policy over ``raw``."""
+        return ResilientInvoker(
+            raw,
+            ResiliencePolicy(retry=None, circuit=registry.policy),
+            endpoint=self.KEY,
+            clock=lambda: self.clock["t"],
+            breakers=registry,
+        )
 
     def test_legacy_failures_trip_the_resilience_breaker(self):
         registry, shared = self.make_shared()
-
-        def failing(**kwargs):
-            raise ServiceFault("down")
-
-        legacy = CircuitBreaker(failing, breaker=shared)
-        # configuration is read through the shared breaker, not duplicated
-        assert legacy.failure_threshold == 2
-        assert legacy.recovery_seconds == 30.0
         for _ in range(2):
             with pytest.raises(ServiceFault):
-                legacy()
-        # the legacy path's failures opened the ONE automaton both see
-        assert legacy.state == "open"
-        assert shared.state == "open"
+                shared(failing_with("down"))
+        assert registry.states() == {self.KEY: "open"}
+        calls = []
+        invoker = self.defended(registry, lambda op, args: calls.append(op))
         with pytest.raises(ServiceUnavailable) as caught:
-            shared.before_call()  # resilience path fast-fails too
+            invoker("say", {})  # the middleware path fast-fails too
+        assert caught.value.fast_fail is True
         assert caught.value.retry_after == pytest.approx(30.0)
+        assert calls == []
 
     def test_resilience_trip_fast_fails_the_legacy_path(self):
         registry, shared = self.make_shared()
+
+        def down(operation, arguments):
+            raise ServiceUnavailable("down")
+
+        invoker = self.defended(registry, down)
         for _ in range(2):
-            probing = shared.before_call()
-            shared.on_failure(probing)
+            with pytest.raises(ServiceUnavailable):
+                invoker("say", {})
         calls = []
 
-        def fn(**kwargs):
+        def fn():
             calls.append(1)
             return "ok"
 
-        legacy = CircuitBreaker(fn, breaker=shared)
         with pytest.raises(ServiceUnavailable):
-            legacy()
+            shared(fn)
         assert calls == []  # fast-fail: the callable never ran
-        # recovery probes flow through either path: the legacy call is
+        # recovery probes flow through either path: the direct call is
         # the half-open probe whose success closes the shared breaker
         self.clock["t"] = 31.0
-        assert legacy() == "ok"
-        assert shared.state == "closed"
-        assert legacy.state == "closed"
+        assert shared(fn) == "ok"
+        assert registry.states() == {self.KEY: "closed"}
 
     def test_registry_hands_out_the_same_breaker_per_endpoint(self):
         registry, shared = self.make_shared()
-        assert registry.breaker_for("rest:http://h:1/rest/Echo") is shared
+        assert registry.breaker_for(self.KEY) is shared

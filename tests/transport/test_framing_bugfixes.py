@@ -286,6 +286,57 @@ class TestIdempotentOnlyRetry:
             flaky.close()
 
 
+class _ChunkedServer(_FakeServer):
+    """Answers every request with a ``Transfer-Encoding: chunked``
+    response (which the client refuses to frame) and records each
+    request path it read, on any connection."""
+
+    RESPONSE = (
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+        b"5\r\nhello\r\n0\r\n\r\n"
+    )
+
+    def __init__(self) -> None:
+        self.paths: list[str] = []
+        super().__init__()
+
+    def _handle(self, sock: socket.socket) -> None:
+        sock.settimeout(5)
+        buffer = b""
+        try:
+            while True:
+                request, buffer = read_request(sock, buffer)
+                if request is None:
+                    return
+                self.paths.append(request.path)
+                sock.sendall(self.RESPONSE)
+        except (HttpError, OSError):
+            return
+        finally:
+            try:
+                sock.close()
+            except OSError:
+                pass
+
+
+class TestProtocolErrorsAreNotReplayed:
+    def test_malformed_response_to_a_get_is_sent_once(self):
+        """A framing error from a live peer is deterministic: replaying
+        the GET would only send it twice.  Only socket failures earn the
+        idempotent replay."""
+        server = _ChunkedServer()
+        try:
+            client = HttpClient(server.host, server.port, timeout=5)
+            with pytest.raises(HttpError):
+                client.get("/report")
+            assert server.paths == ["/report"]
+            # the connection that carried the bad answer is not reused
+            assert client.pool_stats()["idle"] == 0
+            client.close()
+        finally:
+            server.close()
+
+
 class _ScriptedServer(_FakeServer):
     """Raw server answering each parsed request with the next canned blob.
 
