@@ -27,7 +27,7 @@ from repro.services import (
     MortgageService,
     ShardedCache,
     cache_routes,
-    publish_cache_service,
+    publish_service,
 )
 from repro.transport import HttpClient, HttpResponse, HttpServer, conditional
 from repro.web.app import compose_handlers
@@ -37,7 +37,7 @@ def main() -> None:
     # -- 1. caching as a catalogue service ------------------------------
     engine = ShardedCache("demo", shards=8, capacity=1024)
     bus, broker = ServiceBus(), ServiceBroker()
-    endpoints = publish_cache_service(CacheService(engine), broker, bus)
+    endpoints = publish_service(CacheService(engine), broker, bus)
     address = endpoints["inproc"].address
     bus.call(address, "put", {"key": "motd", "value": "service-oriented!"})
     looked_up = bus.call(address, "get", {"key": "motd"})

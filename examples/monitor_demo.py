@@ -35,7 +35,7 @@ from repro.observability import (
     observability_routes,
     observed,
 )
-from repro.services import FleetMonitor, MonitorService, monitor_routes, publish_monitor
+from repro.services import FleetMonitor, MonitorService, monitor_routes, publish_service
 from repro.transport import HttpClient, HttpResponse, HttpServer
 from repro.web import compose_handlers
 
@@ -90,7 +90,7 @@ def main() -> None:
     with observed(TailSampler(keeper, slow_threshold=0.2)):
         monitor = FleetMonitor(engine)
         broker, service_bus = ServiceBroker(), ServiceBus()
-        endpoints = publish_monitor(MonitorService(monitor), broker, service_bus)
+        endpoints = publish_service(MonitorService(monitor), broker, service_bus)
         address = endpoints["inproc"].address
         print(f"monitor registered in broker: {'FleetMonitor' in broker}")
 

@@ -19,7 +19,6 @@ its lease lapses.
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -28,6 +27,7 @@ from urllib.parse import urljoin, urlsplit
 
 from ..core.contracts import ServiceContract
 from ..observability.runtime import OBS
+from ..resilience.binding import PooledHttpClients
 from ..resilience.policy import RetryBudget
 from ..resilience.quarantine import Quarantine
 from ..transport.wsdl import contract_from_xml
@@ -97,13 +97,15 @@ class HttpFetcher:
     :class:`WebGraph` can walk provider sites actually served by
     :class:`~repro.transport.httpserver.HttpServer` nodes.  One pooled
     :class:`~repro.transport.client.HttpClient` is kept per
-    ``host:port`` authority (keep-alive across the many pages of one
-    provider — the crawler's dominant access pattern); dead links —
-    connection failures, timeouts, non-200s — come back as ``None``,
-    exactly like a missing page in the synthetic graph, so retry
-    budgets and domain quarantine apply unchanged.  Links are harvested
-    from ``href="..."`` attributes of fetched HTML; ``latency`` carries
-    the measured wall-clock fetch cost.
+    ``host:port`` authority by a
+    :class:`~repro.resilience.binding.PooledHttpClients` (keep-alive
+    across the many pages of one provider — the crawler's dominant
+    access pattern); dead links — connection failures, timeouts,
+    non-200s — come back as ``None``, exactly like a missing page in
+    the synthetic graph, so retry budgets and domain quarantine apply
+    unchanged.  Links are harvested from ``href="..."`` attributes of
+    fetched HTML; ``latency`` carries the measured wall-clock fetch
+    cost.
     """
 
     def __init__(
@@ -120,29 +122,11 @@ class HttpFetcher:
                 return HttpClient(
                     host, port, timeout=timeout, pool_size=pool_size
                 )
-        self._client_factory = client_factory
-        self._clients: dict[tuple[str, int], object] = {}
-        self._lock = threading.Lock()
+        self._http_clients = PooledHttpClients(client_factory)
         self.fetches = 0
 
-    def _client_for(self, host: str, port: int):
-        key = (host, port)
-        with self._lock:
-            client = self._clients.get(key)
-            if client is None:
-                client = self._client_factory(host, port)
-                self._clients[key] = client
-            return client
-
     def close(self) -> None:
-        with self._lock:
-            clients = list(self._clients.values())
-            self._clients.clear()
-        for client in clients:
-            try:
-                client.close()
-            except OSError:  # pragma: no cover - peer already gone
-                pass
+        self._http_clients.close()
 
     def fetch(self, url: str) -> Optional[Page]:
         """GET ``url``; a Page on 200, None on any failure (dead link)."""
@@ -157,8 +141,7 @@ class HttpFetcher:
             target += "?" + parts.query
         started = time.perf_counter()
         try:
-            client = self._client_for(host, port)
-            response = client.get(target)
+            response = self._http_clients(host, port).get(target)
         except Exception:  # noqa: BLE001 - unreachable host == dead link
             return None
         if response.status != 200:

@@ -5,8 +5,9 @@ last link of the local pipeline — chained *after* the
 :class:`~repro.observability.sampling.TailSampler`, so only traces the
 tail policy kept ever cross the wire::
 
-    store = publish_tracestore(broker)           # services.tracestore
-    exporter = BatchSpanExporter(store.host, store.port, node="gateway")
+    store = TraceStore()                          # services.tracestore
+    server = HttpServer(compose_handlers(tracestore_routes(store))).start()
+    exporter = BatchSpanExporter(server.host, server.port, node="gateway")
     OBS.enable(TailSampler(exporter, slow_threshold=0.25))
 
 Finished spans land in a bounded queue as-is; a daemon thread drains

@@ -17,7 +17,6 @@ layering stays one-directional until a handler is actually built.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Callable, Iterable, Optional
 
 from .metrics import MetricFamily, MetricsRegistry
@@ -483,11 +482,7 @@ class HealthHandler:
             return HttpResponse.error(405, "GET only")
         document = self.snapshot()
         status = 200 if document["status"] == "ok" else 503
-        return HttpResponse.text_response(
-            json.dumps(document, indent=2, sort_keys=True) + "\n",
-            status=status,
-            content_type="application/json",
-        )
+        return HttpResponse.json_response(document, status)
 
 
 # ---------------------------------------------------------------------------

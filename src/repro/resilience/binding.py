@@ -45,7 +45,9 @@ class PooledHttpClients:
     authority; sharing the pooled client means their keep-alive sockets
     are pooled *together*, and concurrent calls overlap on the wire
     instead of each binding dialing (and locking) its own single socket.
-    Used as the ``http_factory`` of broker-guided invokers.
+    Used as the ``http_factory`` of broker-guided invokers, and as the
+    one client cache of the gateway, the fleet monitor and the crawler's
+    live fetcher.
     """
 
     def __init__(self, factory: Optional[HttpFactory] = None) -> None:
@@ -84,16 +86,27 @@ class PooledHttpClients:
             stats[f"{host}:{port}"] = stats_fn()
         return stats
 
+    def discard(self, host: str, port: int) -> None:
+        """Close and forget one authority's client; the next call redials."""
+        with self._lock:
+            client = self._clients.pop((host, port), None)
+        if client is not None:
+            _close_quietly([client])
+
     def close(self) -> None:
         """Close every pooled HTTP client dialed so far."""
         with self._lock:
             clients = list(self._clients.values())
             self._clients.clear()
-        for client in clients:
-            try:
-                client.close()
-            except OSError:  # pragma: no cover - peer already gone
-                pass
+        _close_quietly(clients)
+
+
+def _close_quietly(clients: list[Any]) -> None:
+    for client in clients:
+        try:
+            client.close()
+        except OSError:  # pragma: no cover - peer already gone
+            pass
 
 
 def broker_reporter(broker: ServiceBroker, service_name: str) -> Reporter:

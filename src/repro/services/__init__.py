@@ -3,9 +3,14 @@ access control, guessing game, random string, dynamic image, image
 verifier, caching, shopping cart, message buffer, credit score, and
 mortgage services — each publishable over every binding.  The catalogue
 also offers *monitoring as a service*: :class:`MonitorService` federates
-other nodes' ``/metrics`` behind a discoverable contract — and *tracing
-as a service*: :class:`TraceStoreService` assembles every node's
-exported spans into fleet-wide traces (:mod:`.tracestore`)."""
+other nodes' ``/metrics`` behind a discoverable contract — *tracing as a
+service*: :class:`TraceStoreService` assembles every node's exported
+spans into fleet-wide traces (:mod:`.tracestore`) — and *caching as a
+service*: :class:`CacheService` over a :class:`ShardedCache`.  These
+three side planes join the broker through the one multi-binding
+publisher, :func:`publish_service` (inproc, SOAP and REST under one
+registration).
+"""
 
 from .basic import (
     AccessControlService,
@@ -27,9 +32,13 @@ from .cache_service import (
     ShardedCache,
     cache_metric_families,
     cache_routes,
-    publish_cache_service,
 )
-from .catalog import CATALOG_SERVICES, build_repository, mount_all
+from .catalog import (
+    CATALOG_SERVICES,
+    build_repository,
+    mount_all,
+    publish_service,
+)
 from .data_service import DatabaseService
 from .monitor import (
     FleetMonitor,
@@ -37,13 +46,11 @@ from .monitor import (
     ScrapeTarget,
     merge_families,
     monitor_routes,
-    publish_monitor,
 )
 from .tracestore import (
     TraceRecord,
     TraceStore,
     TraceStoreService,
-    publish_tracestore,
     tracestore_routes,
 )
 from .workflow_service import WorkflowService, make_prequalification_service
@@ -54,12 +61,13 @@ __all__ = [
     "CachingService", "ShoppingCartService", "MessageBufferService",
     "CreditScoreService", "MortgageService",
     "CATALOG_SERVICES", "build_repository", "mount_all",
+    "publish_service",
     "DatabaseService",
     "WorkflowService", "make_prequalification_service",
     "MonitorService", "FleetMonitor", "ScrapeTarget",
-    "merge_families", "monitor_routes", "publish_monitor",
+    "merge_families", "monitor_routes",
     "TraceStore", "TraceRecord", "TraceStoreService",
-    "tracestore_routes", "publish_tracestore",
+    "tracestore_routes",
     "ShardedCache", "CacheService", "cache_metric_families",
-    "cache_routes", "publish_cache_service",
+    "cache_routes",
 ]

@@ -15,8 +15,9 @@ layers, mirroring :mod:`.monitor` and :mod:`.tracestore`:
   façade: ``put`` / ``get`` / ``invalidate`` / ``purge`` / ``stats``
   as contract operations, discoverable in the broker and invokable
   over the in-process bus, SOAP, or REST like any catalogue member.
-* :func:`cache_routes` / :func:`publish_cache_service` — the HTTP
-  plane (``GET /cache/stats``, gateway-frontable) and broker wiring.
+* :func:`cache_routes` — the HTTP plane (``GET /cache/stats``,
+  gateway-frontable).  The service joins the broker through
+  :func:`~repro.services.catalog.publish_service`.
 
 Hot paths use the engine **cache-aside**: the directory's tf-idf
 search, the commerce credit score, and the REST contract documents all
@@ -26,19 +27,14 @@ take an optional ``ShardedCache`` and call
 
 from __future__ import annotations
 
-import json
 import threading
 import weakref
 import zlib
 from typing import Any, Callable, Iterable, Optional
 
-from ..core.broker import Endpoint, ServiceBroker
-from ..core.bus import ServiceBus
 from ..core.faults import ServiceFault
-from ..core.service import Service, ServiceHost, operation
+from ..core.service import Service, operation
 from ..observability.metrics import MetricFamily
-from ..transport.rest import RestEndpoint
-from ..transport.soap import SoapEndpoint
 from ..web.caching import Cache
 
 __all__ = [
@@ -46,7 +42,6 @@ __all__ = [
     "CacheService",
     "cache_metric_families",
     "cache_routes",
-    "publish_cache_service",
 ]
 
 #: Live engines, for the scrape-time ``repro_cache_*`` collector.
@@ -301,53 +296,7 @@ def cache_routes(cache: ShardedCache) -> dict[str, Callable[[Any], Any]]:
     def stats_handler(request):
         if request.method != "GET":
             return HttpResponse.error(405, "GET only")
-        return HttpResponse.text_response(
-            json.dumps(cache.stats(), indent=2, sort_keys=True) + "\n",
-            200,
-            "application/json",
-        )
+        return HttpResponse.json_response(cache.stats())
 
     return {"/cache/stats": stats_handler}
 
-
-def publish_cache_service(
-    service: CacheService,
-    broker: ServiceBroker,
-    bus: Optional[ServiceBus] = None,
-    *,
-    soap: Optional[SoapEndpoint] = None,
-    rest: Optional[RestEndpoint] = None,
-    base_url: str = "",
-    provider: str = "cache.local",
-    lease_seconds: Optional[float] = None,
-) -> dict[str, Endpoint]:
-    """Register the cache in the catalogue across every binding.
-
-    Mirrors :func:`~repro.services.tracestore.publish_tracestore`:
-    hosts on the bus / SOAP / REST endpoints given, publishes one
-    broker record holding them all, returns ``{binding: Endpoint}``.
-    Mount :func:`cache_routes` on an :class:`HttpServer` (or front it
-    through the gateway's ``attach_cache``) for the stats plane.
-    """
-    endpoints: dict[str, Endpoint] = {}
-    if bus is not None:
-        address = bus.host(service)
-        endpoints["inproc"] = Endpoint("inproc", address)
-    if soap is not None:
-        path = soap.mount(ServiceHost(service))
-        endpoints["soap"] = Endpoint("soap", base_url + path)
-    if rest is not None:
-        path = rest.mount(ServiceHost(service))
-        endpoints["rest"] = Endpoint("rest", base_url + path)
-    if not endpoints:
-        raise ServiceFault(
-            "publish_cache_service needs at least one of bus/soap/rest",
-            code="Client.BadInput",
-        )
-    broker.publish(
-        service.contract(),
-        list(endpoints.values()),
-        provider=provider,
-        lease_seconds=lease_seconds,
-    )
-    return endpoints

@@ -4,6 +4,9 @@
 each to a broker over the in-process bus; :func:`mount_all` additionally
 exposes them over SOAP and REST endpoints — "implemented in multiple
 formats" exactly as the paper describes its repository.
+:func:`publish_service` is the one multi-binding publisher for a single
+service: the side planes (monitor, trace store, cache) join the
+catalogue through it.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from typing import Optional
 
 from ..core.broker import Endpoint, ServiceBroker
 from ..core.bus import ServiceBus
+from ..core.faults import ServiceFault
 from ..core.service import Service, ServiceHost
 from ..transport.rest import RestEndpoint
 from ..transport.soap import SoapEndpoint
@@ -31,7 +35,13 @@ from .commerce import (
     ShoppingCartService,
 )
 
-__all__ = ["CATALOG_SERVICES", "build_repository", "mount_all", "attach_monitoring"]
+__all__ = [
+    "CATALOG_SERVICES",
+    "build_repository",
+    "mount_all",
+    "publish_service",
+    "attach_monitoring",
+]
 
 #: every service class of the §V catalogue
 CATALOG_SERVICES: list[type[Service]] = [
@@ -92,6 +102,48 @@ def mount_all(
     return soap, rest
 
 
+def publish_service(
+    service: Service,
+    broker: ServiceBroker,
+    bus: Optional[ServiceBus] = None,
+    *,
+    soap: Optional[SoapEndpoint] = None,
+    rest: Optional[RestEndpoint] = None,
+    base_url: str = "",
+    provider: str = "anonymous",
+    lease_seconds: Optional[float] = None,
+) -> dict[str, Endpoint]:
+    """Register one service in the catalogue across every binding given.
+
+    Hosts it on the bus, mounts it on the SOAP endpoint (its WSDL is
+    then a ``GET ?wsdl`` away) and on the REST endpoint, and publishes
+    one broker registration holding every endpoint — one contract, many
+    bindings.  At least one binding is required.  Returns
+    ``{binding: Endpoint}``.
+    """
+    endpoints: dict[str, Endpoint] = {}
+    if bus is not None:
+        endpoints["inproc"] = Endpoint("inproc", bus.host(service))
+    if soap is not None:
+        path = soap.mount(ServiceHost(service))
+        endpoints["soap"] = Endpoint("soap", base_url + path)
+    if rest is not None:
+        path = rest.mount(ServiceHost(service))
+        endpoints["rest"] = Endpoint("rest", base_url + path)
+    if not endpoints:
+        raise ServiceFault(
+            "publish_service needs at least one of bus/soap/rest",
+            code="Client.BadInput",
+        )
+    broker.publish(
+        service.contract(),
+        list(endpoints.values()),
+        provider=provider,
+        lease_seconds=lease_seconds,
+    )
+    return endpoints
+
+
 def attach_monitoring(
     broker: ServiceBroker,
     bus: Optional[ServiceBus] = None,
@@ -111,10 +163,10 @@ def attach_monitoring(
     shows up in discovery like any §V repository member, WSDL included.
     Returns the service instance.
     """
-    from .monitor import FleetMonitor, MonitorService, publish_monitor
+    from .monitor import FleetMonitor, MonitorService
 
     service = MonitorService(FleetMonitor(engine))
-    publish_monitor(
+    publish_service(
         service, broker, bus, soap=soap, rest=rest,
         base_url=base_url, provider=provider,
     )

@@ -20,10 +20,10 @@ contract.  Three layers:
   the broker and is discoverable and invokable over the in-process bus,
   SOAP (with a ``?wsdl`` contract document) and REST, like any other
   catalogue member.
-* :func:`publish_monitor` / :func:`monitor_routes` — wiring helpers:
-  broker registration across all three bindings, and the ``/alerts`` +
-  ``/dashboard`` HTTP handlers that mount beside ``/metrics`` and
-  ``/healthz``.
+* :func:`monitor_routes` — the ``/alerts`` + ``/dashboard`` HTTP
+  handlers that mount beside ``/metrics`` and ``/healthz``.  Broker
+  registration across all three bindings is the catalogue's one
+  publisher, :func:`~repro.services.catalog.publish_service`.
 """
 
 from __future__ import annotations
@@ -33,24 +33,20 @@ import threading
 import time
 from typing import Any, Callable, Iterable, Optional
 
-from ..core.broker import Endpoint, ServiceBroker
-from ..core.bus import ServiceBus
 from ..core.faults import ServiceFault
-from ..core.service import Service, ServiceHost, operation
+from ..core.service import Service, operation
 from ..observability.exposition import parse_prometheus
 from ..observability.metrics import MetricFamily
 from ..observability.profiling import IDLE_KEY, OVERFLOW_KEY, merge_folded, parse_collapsed
 from ..observability.runtime import OBS
 from ..observability.slo import SloEngine
-from ..transport.rest import RestEndpoint
-from ..transport.soap import SoapEndpoint
+from ..resilience.binding import PooledHttpClients
 
 __all__ = [
     "ScrapeTarget",
     "merge_families",
     "FleetMonitor",
     "MonitorService",
-    "publish_monitor",
     "monitor_routes",
 ]
 
@@ -183,9 +179,12 @@ class FleetMonitor:
 
     ``client_factory`` is injectable for tests (anything returning an
     object with ``get(path) -> HttpResponse`` and ``close()``); the
-    default builds a real :class:`HttpClient` per target.  All public
-    methods are thread-safe: a scrape tick may race service-operation
-    reads from SOAP/REST worker threads.
+    default builds a real :class:`HttpClient`.  Scrapes, profile pulls
+    and trace-store reads all dial through one
+    :class:`~repro.resilience.binding.PooledHttpClients`, so each
+    ``host:port`` authority gets one pooled client.  All public methods
+    are thread-safe: a scrape tick may race service-operation reads from
+    SOAP/REST worker threads.
     """
 
     def __init__(
@@ -208,11 +207,9 @@ class FleetMonitor:
                 return HttpClient(
                     host, port, timeout=self.scrape_timeout, pool_size=2
                 )
-        self._client_factory = client_factory
+        self._http_clients = PooledHttpClients(client_factory)
         self._targets: dict[str, ScrapeTarget] = {}
-        self._clients: dict[str, Any] = {}
         self._trace_store: Optional[tuple[str, int]] = None
-        self._trace_client: Any = None
         self._lock = threading.RLock()
         self._fleet: list[MetricFamily] = []
         self._services: dict[str, tuple[tuple[str, ...], SloEngine]] = {}
@@ -224,24 +221,17 @@ class FleetMonitor:
         host, port = _parse_base_url(base_url)
         target = ScrapeTarget(name, host, port, path)
         with self._lock:
-            old = self._clients.pop(name, None)
+            old = self._targets.get(name)
             self._targets[name] = target
         if old is not None:
-            try:
-                old.close()
-            except OSError:  # pragma: no cover - peer already gone
-                pass
+            self._http_clients.discard(old.host, old.port)
         return target
 
     def remove_target(self, name: str) -> bool:
         with self._lock:
-            client = self._clients.pop(name, None)
             removed = self._targets.pop(name, None)
-        if client is not None:
-            try:
-                client.close()
-            except OSError:  # pragma: no cover
-                pass
+        if removed is not None:
+            self._http_clients.discard(removed.host, removed.port)
         return removed is not None
 
     def targets(self) -> list[dict[str, Any]]:
@@ -291,40 +281,32 @@ class FleetMonitor:
         return merge_families(per_node)
 
     def close(self) -> None:
-        with self._lock:
-            clients = list(self._clients.values())
-            self._clients.clear()
-            if self._trace_client is not None:
-                clients.append(self._trace_client)
-                self._trace_client = None
-        for client in clients:
-            try:
-                client.close()
-            except OSError:  # pragma: no cover
-                pass
+        self._http_clients.close()
 
     # -- scraping --------------------------------------------------------
-    def _client_for(self, target: ScrapeTarget) -> Any:
-        with self._lock:
-            client = self._clients.get(target.name)
-            if client is None:
-                client = self._client_factory(target.host, target.port)
-                self._clients[target.name] = client
-            return client
+    def _fan_out(self, work: Callable[[ScrapeTarget], Any]) -> list[Any]:
+        """Run ``work`` on every target, concurrently when there are several.
 
-    def _drop_client(self, name: str) -> None:
+        Returns the results in target order.  No lock is held while
+        ``work`` runs, so a slow peer cannot stall service-operation
+        reads from SOAP/REST worker threads.
+        """
         with self._lock:
-            client = self._clients.pop(name, None)
-        if client is not None:
-            try:
-                client.close()
-            except OSError:  # pragma: no cover - peer already gone
-                pass
+            targets = list(self._targets.values())
+        if len(targets) > 1 and self.max_parallel_scrapes > 1:
+            from concurrent.futures import ThreadPoolExecutor  # stdlib
 
-    def _scrape_one(self, target: ScrapeTarget) -> None:
+            with ThreadPoolExecutor(
+                max_workers=min(self.max_parallel_scrapes, len(targets)),
+                thread_name_prefix="monitor",
+            ) as pool:
+                return list(pool.map(work, targets))
+        return [work(target) for target in targets]
+
+    def _scrape_one(self, target: ScrapeTarget) -> ScrapeTarget:
         started = time.perf_counter()
         try:
-            client = self._client_for(target)
+            client = self._http_clients(target.host, target.port)
             response = client.get(target.path)
             if response.status != 200:
                 raise ServiceFault(
@@ -336,7 +318,6 @@ class FleetMonitor:
             target.up = False
             target.failures += 1
             target.last_error = str(exc)
-            self._drop_client(target.name)
             if OBS.enabled:
                 OBS.instruments.monitor_scrapes.inc(
                     node=target.name, outcome="error"
@@ -350,6 +331,7 @@ class FleetMonitor:
         finally:
             target.scrapes += 1
             target.last_scrape_seconds = time.perf_counter() - started
+        return target
 
     def scrape_all(self) -> list[MetricFamily]:
         """Scrape every target — concurrently — and rebuild the fleet view.
@@ -357,24 +339,12 @@ class FleetMonitor:
         A fleet tick is latency-bound by its slowest node; scraping each
         target on its own thread (up to ``max_parallel_scrapes``) makes
         the tick cost ``max(node latency)`` instead of ``sum(...)``, and
-        the pooled :class:`HttpClient` per target keeps the sockets warm
-        between ticks.  No lock is held during network I/O — a slow peer
-        cannot stall service-operation reads (``targets()``, ``alerts()``)
-        from SOAP/REST worker threads.
+        the pooled :class:`HttpClient` per authority keeps the sockets
+        warm between ticks.  No lock is held during network I/O — a slow
+        peer cannot stall service-operation reads (``targets()``,
+        ``alerts()``) from SOAP/REST worker threads.
         """
-        with self._lock:
-            targets = list(self._targets.values())
-        if len(targets) > 1 and self.max_parallel_scrapes > 1:
-            from concurrent.futures import ThreadPoolExecutor  # stdlib
-
-            with ThreadPoolExecutor(
-                max_workers=min(self.max_parallel_scrapes, len(targets)),
-                thread_name_prefix="monitor-scrape",
-            ) as pool:
-                list(pool.map(self._scrape_one, targets))
-        else:
-            for target in targets:
-                self._scrape_one(target)
+        targets = self._fan_out(self._scrape_one)
         with self._lock:
             per_node = {
                 t.name: t.families for t in targets if t.up and t.families
@@ -407,12 +377,10 @@ class FleetMonitor:
                 f"seconds ({seconds:g}) must be under scrape_timeout "
                 f"({self.scrape_timeout:g}) or every pull times out"
             )
-        with self._lock:
-            targets = list(self._targets.values())
 
         def pull(target: ScrapeTarget) -> Optional[dict[str, int]]:
             try:
-                client = self._client_for(target)
+                client = self._http_clients(target.host, target.port)
                 response = client.get(
                     f"/debug/profile?seconds={seconds:g}&hz={hz:g}"
                 )
@@ -420,20 +388,9 @@ class FleetMonitor:
                     return None
                 return parse_collapsed(response.text())
             except Exception:  # noqa: BLE001 - an unprofiled node is data, not death
-                self._drop_client(target.name)
                 return None
 
-        if len(targets) > 1 and self.max_parallel_scrapes > 1:
-            from concurrent.futures import ThreadPoolExecutor  # stdlib
-
-            with ThreadPoolExecutor(
-                max_workers=min(self.max_parallel_scrapes, len(targets)),
-                thread_name_prefix="monitor-profile",
-            ) as pool:
-                profiles = list(pool.map(pull, targets))
-        else:
-            profiles = [pull(target) for target in targets]
-        merged = merge_folded(p for p in profiles if p)
+        merged = merge_folded(p for p in self._fan_out(pull) if p)
         with self._lock:
             self._hot_paths = merged
         return merged
@@ -460,38 +417,24 @@ class FleetMonitor:
         cross-node trace.  The store is just another HTTP peer; a down
         store degrades the sections to empty, never breaks the monitor.
         """
-        host, port = _parse_base_url(base_url)
+        address = _parse_base_url(base_url)
         with self._lock:
-            old, self._trace_client = self._trace_client, None
-            self._trace_store = (host, port)
-        if old is not None:
-            try:
-                old.close()
-            except OSError:  # pragma: no cover - peer already gone
-                pass
+            old, self._trace_store = self._trace_store, address
+        if old is not None and old != address:
+            self._http_clients.discard(*old)
 
     def _trace_store_json(self, path: str) -> Optional[Any]:
         """GET one store route as parsed JSON; None on any failure."""
         with self._lock:
-            if self._trace_store is None:
-                return None
-            client = self._trace_client
-            if client is None:
-                host, port = self._trace_store
-                client = self._trace_client = self._client_factory(host, port)
+            address = self._trace_store
+        if address is None:
+            return None
         try:
-            response = client.get(path)
+            response = self._http_clients(*address).get(path)
             if response.status != 200:
                 return None
             return json.loads(response.text())
         except Exception:  # noqa: BLE001 - a down store is data, not death
-            with self._lock:
-                stale, self._trace_client = self._trace_client, None
-            if stale is not None:
-                try:
-                    stale.close()
-                except OSError:  # pragma: no cover
-                    pass
             return None
 
     def slowest_traces(self, n: int = 5) -> list[dict[str, Any]]:
@@ -768,10 +711,7 @@ def monitor_routes(monitor: FleetMonitor) -> dict[str, Callable[[Any], Any]]:
             "targets": monitor.targets(),
             "slo": monitor.slo_report(),
         }
-        return HttpResponse.text_response(
-            json.dumps(document, indent=2, sort_keys=True) + "\n",
-            content_type="application/json",
-        )
+        return HttpResponse.json_response(document)
 
     def dashboard_handler(request):
         if request.method != "GET":
@@ -780,44 +720,3 @@ def monitor_routes(monitor: FleetMonitor) -> dict[str, Callable[[Any], Any]]:
 
     return {"/alerts": alerts_handler, "/dashboard": dashboard_handler}
 
-
-def publish_monitor(
-    service: MonitorService,
-    broker: ServiceBroker,
-    bus: Optional[ServiceBus] = None,
-    *,
-    soap: Optional[SoapEndpoint] = None,
-    rest: Optional[RestEndpoint] = None,
-    base_url: str = "",
-    provider: str = "monitor.local",
-    lease_seconds: Optional[float] = None,
-) -> dict[str, Endpoint]:
-    """Register the monitor in the catalogue across every binding.
-
-    Hosts the service on the bus (when given), mounts it on the SOAP and
-    REST endpoints (when given — its WSDL contract document is then a
-    ``GET ?wsdl`` away), and publishes one broker registration holding
-    every endpoint.  Returns ``{binding: Endpoint}``.
-    """
-    endpoints: dict[str, Endpoint] = {}
-    if bus is not None:
-        address = bus.host(service)
-        endpoints["inproc"] = Endpoint("inproc", address)
-    if soap is not None:
-        path = soap.mount(ServiceHost(service))
-        endpoints["soap"] = Endpoint("soap", base_url + path)
-    if rest is not None:
-        path = rest.mount(ServiceHost(service))
-        endpoints["rest"] = Endpoint("rest", base_url + path)
-    if not endpoints:
-        raise ServiceFault(
-            "publish_monitor needs at least one of bus/soap/rest",
-            code="Client.BadInput",
-        )
-    broker.publish(
-        service.contract(),
-        list(endpoints.values()),
-        provider=provider,
-        lease_seconds=lease_seconds,
-    )
-    return endpoints

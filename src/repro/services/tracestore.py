@@ -22,9 +22,11 @@ mirroring :mod:`.monitor`:
   façade: ``ingest`` / ``get_trace`` / ``search`` / ``dependencies`` /
   ``stats`` as contract operations, discoverable in the broker and
   invokable over every binding like any catalogue member.
-* :func:`tracestore_routes` / :func:`publish_tracestore` — the HTTP
-  ingest + query plane (``POST /traces/ingest``, ``GET /traces``,
-  ``GET /traces/<id>``, ``GET /dependencies``) and broker wiring.
+* :func:`tracestore_routes` — the HTTP ingest + query plane
+  (``POST /traces/ingest``, ``GET /traces``, ``GET /traces/<id>``,
+  ``GET /dependencies``).  Exporters speak plain HTTP, not the
+  contract; the service joins the broker through
+  :func:`~repro.services.catalog.publish_service`.
 
 Node identity: each batch names its exporting node, but a span whose
 attributes carry a ``node`` key (set by
@@ -43,20 +45,15 @@ import time
 from collections import OrderedDict
 from typing import Any, Callable, Optional
 
-from ..core.broker import Endpoint, ServiceBroker
-from ..core.bus import ServiceBus
 from ..core.faults import ServiceFault
-from ..core.service import Service, ServiceHost, operation
+from ..core.service import Service, operation
 from ..observability.trace import Span, render_trace_tree, span_from_dict
-from ..transport.rest import RestEndpoint
-from ..transport.soap import SoapEndpoint
 
 __all__ = [
     "TraceStore",
     "TraceRecord",
     "TraceStoreService",
     "tracestore_routes",
-    "publish_tracestore",
 ]
 
 _REPLICA_SUFFIX = re.compile(r"-\d+$")
@@ -557,13 +554,6 @@ def tracestore_routes(store: TraceStore) -> dict[str, Callable[[Any], Any]]:
     """
     from ..transport.http11 import HttpResponse  # lazy: layering
 
-    def _json(document: Any, status: int = 200) -> Any:
-        return HttpResponse.text_response(
-            json.dumps(document, indent=2, sort_keys=True) + "\n",
-            status,
-            "application/json",
-        )
-
     def ingest_handler(request):
         if request.method != "POST":
             return HttpResponse.error(405, "POST only")
@@ -575,7 +565,7 @@ def tracestore_routes(store: TraceStore) -> dict[str, Callable[[Any], Any]]:
                 raise TypeError("spans must be a list")
         except (ValueError, KeyError, TypeError) as exc:
             return HttpResponse.error(400, f"bad ingest payload: {exc}")
-        return _json(store.ingest(node, spans))
+        return HttpResponse.json_response(store.ingest(node, spans))
 
     def traces_handler(request):
         if request.method != "GET":
@@ -589,7 +579,7 @@ def tracestore_routes(store: TraceStore) -> dict[str, Callable[[Any], Any]]:
                 return HttpResponse.error(400, str(exc))
             if document is None:
                 return HttpResponse.error(404, f"unknown trace {trace_id}")
-            return _json(document)
+            return HttpResponse.json_response(document)
         query = request.query
         try:
             rows = store.search(
@@ -600,12 +590,12 @@ def tracestore_routes(store: TraceStore) -> dict[str, Callable[[Any], Any]]:
             )
         except ValueError as exc:
             return HttpResponse.error(400, f"bad query: {exc}")
-        return _json({"traces": rows})
+        return HttpResponse.json_response({"traces": rows})
 
     def dependencies_handler(request):
         if request.method != "GET":
             return HttpResponse.error(405, "GET only")
-        return _json({"edges": store.dependencies()})
+        return HttpResponse.json_response({"edges": store.dependencies()})
 
     return {
         "/traces/ingest": ingest_handler,
@@ -613,45 +603,3 @@ def tracestore_routes(store: TraceStore) -> dict[str, Callable[[Any], Any]]:
         "/dependencies": dependencies_handler,
     }
 
-
-def publish_tracestore(
-    service: TraceStoreService,
-    broker: ServiceBroker,
-    bus: Optional[ServiceBus] = None,
-    *,
-    soap: Optional[SoapEndpoint] = None,
-    rest: Optional[RestEndpoint] = None,
-    base_url: str = "",
-    provider: str = "tracestore.local",
-    lease_seconds: Optional[float] = None,
-) -> dict[str, Endpoint]:
-    """Register the trace store in the catalogue across every binding.
-
-    Mirrors :func:`~repro.services.monitor.publish_monitor`: hosts on
-    the bus / SOAP / REST endpoints given, publishes one broker record
-    holding them all, returns ``{binding: Endpoint}``.  Mount
-    :func:`tracestore_routes` on an :class:`HttpServer` for the span
-    ingest plane — exporters speak plain HTTP, not the contract.
-    """
-    endpoints: dict[str, Endpoint] = {}
-    if bus is not None:
-        address = bus.host(service)
-        endpoints["inproc"] = Endpoint("inproc", address)
-    if soap is not None:
-        path = soap.mount(ServiceHost(service))
-        endpoints["soap"] = Endpoint("soap", base_url + path)
-    if rest is not None:
-        path = rest.mount(ServiceHost(service))
-        endpoints["rest"] = Endpoint("rest", base_url + path)
-    if not endpoints:
-        raise ServiceFault(
-            "publish_tracestore needs at least one of bus/soap/rest",
-            code="Client.BadInput",
-        )
-    broker.publish(
-        service.contract(),
-        list(endpoints.values()),
-        provider=provider,
-        lease_seconds=lease_seconds,
-    )
-    return endpoints

@@ -11,6 +11,7 @@ and the in-memory tests all decide where a message ends with
 
 from __future__ import annotations
 
+import json
 import socket
 import time
 from dataclasses import dataclass, field
@@ -227,6 +228,15 @@ class HttpResponse:
             status,
             _Headers([("Content-Type", f"{content_type}; charset=utf-8")]),
             body.encode("utf-8"),
+        )
+
+    @classmethod
+    def json_response(cls, document: object, status: int = 200) -> "HttpResponse":
+        """``document`` as indented, key-sorted JSON plus a newline."""
+        return cls.text_response(
+            json.dumps(document, indent=2, sort_keys=True) + "\n",
+            status,
+            "application/json",
         )
 
     @classmethod

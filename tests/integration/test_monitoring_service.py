@@ -29,7 +29,7 @@ from repro.observability import (
     observability_routes,
     observed,
 )
-from repro.services import MonitorService, FleetMonitor, monitor_routes, publish_monitor
+from repro.services import MonitorService, FleetMonitor, monitor_routes, publish_service
 from repro.transport import HttpClient, HttpServer, HttpResponse
 from repro.web.app import compose_handlers
 
@@ -100,7 +100,7 @@ class TestMonitoringService:
             service = MonitorService(monitor)
             broker = ServiceBroker()
             service_bus = ServiceBus()
-            endpoints = publish_monitor(service, broker, service_bus)
+            endpoints = publish_service(service, broker, service_bus)
             address = endpoints["inproc"].address
             assert "FleetMonitor" in broker  # registered, discoverable
 

@@ -14,10 +14,10 @@ import pytest
 from repro.core.broker import ServiceBroker
 from repro.core.bus import ServiceBus
 from repro.core.faults import ServiceFault
+from repro.services import publish_service
 from repro.services.tracestore import (
     TraceStore,
     TraceStoreService,
-    publish_tracestore,
     tracestore_routes,
 )
 from repro.transport.http11 import HttpRequest
@@ -342,7 +342,7 @@ class TestServiceFacade:
         broker = ServiceBroker()
         store, clock = settled_store()
         service = TraceStoreService(store)
-        endpoints = publish_tracestore(service, broker, bus)
+        endpoints = publish_service(service, broker, bus)
         assert "inproc" in endpoints
         registration = broker.lookup("TraceStore")
         assert registration.contract.name == "TraceStore"
@@ -367,7 +367,3 @@ class TestServiceFacade:
         service = TraceStoreService()
         with pytest.raises(ServiceFault):
             service.get_trace(f"{0xDEAD:032x}")
-
-    def test_publish_needs_a_binding(self):
-        with pytest.raises(ServiceFault):
-            publish_tracestore(TraceStoreService(), ServiceBroker())

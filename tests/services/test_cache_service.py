@@ -14,13 +14,12 @@ from repro.core.faults import ServiceFault
 from repro.gateway import Gateway, RateLimiter, RateLimitPolicy, SecurityPolicy
 from repro.security.access import AccessControl
 from repro.security.auth import PasswordVault, TokenIssuer
-from repro.services import CreditScoreService
+from repro.services import CreditScoreService, publish_service
 from repro.services.cache_service import (
     CacheService,
     ShardedCache,
     cache_metric_families,
     cache_routes,
-    publish_cache_service,
 )
 from repro.transport.http11 import HttpRequest
 from repro.transport.httpserver import HttpServer, serve_once
@@ -164,7 +163,7 @@ class TestCacheServiceFacade:
         bus = ServiceBus()
         broker = ServiceBroker()
         service = CacheService()
-        endpoints = publish_cache_service(service, broker, bus)
+        endpoints = publish_service(service, broker, bus)
         assert "inproc" in endpoints
         registration = broker.lookup("CacheService")
         assert registration.contract.name == "CacheService"
@@ -175,10 +174,6 @@ class TestCacheServiceFacade:
         assert result["found"] is True and result["value"] == "over-the-bus"
         stats = bus.call(address, "stats", {})
         assert stats["entries"] == 1
-
-    def test_publish_needs_a_binding(self):
-        with pytest.raises(ServiceFault):
-            publish_cache_service(CacheService(), ServiceBroker())
 
 
 class TestCacheRoutes:

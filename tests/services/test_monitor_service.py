@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.core import ServiceBroker, ServiceBus, ServiceFault, ServiceHost
+from repro.core import ServiceBus, ServiceFault, ServiceHost
 from repro.observability import (
     MetricsRegistry,
     SloEngine,
@@ -19,7 +19,6 @@ from repro.services import (
     MonitorService,
     merge_families,
     monitor_routes,
-    publish_monitor,
 )
 from repro.services.catalog import attach_monitoring, build_repository
 from repro.transport import (
@@ -304,24 +303,6 @@ class TestMonitorService:
         )
         assert response.status == 200
         assert "fleet monitor" in from_element(parse(response.text()))
-
-    def test_publish_monitor_registers_every_binding(self):
-        broker = ServiceBroker()
-        bus = ServiceBus()
-        soap, rest = SoapEndpoint(), RestEndpoint()
-        endpoints = publish_monitor(
-            MonitorService(), broker, bus, soap=soap, rest=rest,
-            base_url="http://localhost:8080",
-        )
-        assert set(endpoints) == {"inproc", "soap", "rest"}
-        registration = broker.lookup("FleetMonitor")
-        bindings = {e.binding for e in registration.endpoints}
-        assert bindings == {"inproc", "soap", "rest"}
-        assert registration.provider == "monitor.local"
-
-    def test_publish_monitor_requires_a_binding(self):
-        with pytest.raises(ServiceFault):
-            publish_monitor(MonitorService(), ServiceBroker())
 
     def test_attach_monitoring_joins_the_catalogue(self):
         broker, bus, instances = build_repository()

@@ -103,6 +103,19 @@ class TestResponseCodec:
         assert HttpResponse.xml_response("<a/>").content_type == "application/xml"
         assert HttpResponse.html_response("<p/>").content_type == "text/html"
 
+    def test_json_factory_bytes(self):
+        """The bytes every JSON route (/alerts, /healthz, /cache/stats,
+        /traces*) has always served: indented, key-sorted, ASCII-escaped,
+        newline-terminated."""
+        response = HttpResponse.json_response({"b": [1, "\u00fc"], "a": None}, 503)
+        body = b'{\n  "a": null,\n  "b": [\n    1,\n    "\\u00fc"\n  ]\n}\n'
+        assert response.to_bytes() == (
+            b"HTTP/1.1 503 Service Unavailable\r\n"
+            b"Content-Type: application/json; charset=utf-8\r\n"
+            b"Content-Length: %d\r\n\r\n" % len(body)
+        ) + body
+        assert HttpResponse.json_response([]).status == 200
+
     def test_content_length_always_set(self):
         parsed = parse_response(HttpResponse.text_response("abc").to_bytes())
         assert parsed.headers.get("Content-Length") == "3"
