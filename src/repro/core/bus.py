@@ -186,52 +186,17 @@ class BusClient:
     """Broker-aware client: discovers a service by name and calls it,
     reporting observed QoS back to the broker.
 
-    With a ``policy`` (a :class:`repro.resilience.ResiliencePolicy`),
-    every call runs through the compiled resilience chain — deadline,
-    retries, per-endpoint circuit breaker, bulkhead, fallback — and
-    policy outcomes (including fast-fails) feed the broker's QoS
-    reports attributed to the inproc endpoint.
+    For a call defended by a resilience policy, bind a proxy with
+    :func:`~repro.core.proxy.proxy_from_broker` and ``policy=...``.
     """
 
-    def __init__(
-        self,
-        bus: ServiceBus,
-        broker: ServiceBroker,
-        policy: Optional[Any] = None,
-        **policy_kwargs: Any,
-    ) -> None:
+    def __init__(self, bus: ServiceBus, broker: ServiceBroker) -> None:
         self.bus = bus
         self.broker = broker
-        self.policy = policy
-        self._policy_kwargs = policy_kwargs
-        self._defended: dict[str, Any] = {}
-
-    def _defended_invoker(self, service_name: str, endpoint: Endpoint) -> Any:
-        # Lazy import: core must stay importable without resilience loaded.
-        from ..resilience.binding import broker_reporter
-        from ..resilience.middleware import ResilientInvoker
-
-        invoker = self._defended.get(endpoint.key)
-        if invoker is None:
-            invoker = ResilientInvoker(
-                lambda operation, arguments: self.bus.call(
-                    endpoint.address, operation, arguments
-                ),
-                self.policy,
-                endpoint=endpoint.key,
-                reporter=broker_reporter(self.broker, service_name),
-                **self._policy_kwargs,
-            )
-            self._defended[endpoint.key] = invoker
-        return invoker
 
     def call(self, service_name: str, operation: str, **arguments: Any) -> Any:
-        """Discover, invoke, and report QoS (through the policy chain if set)."""
+        """Discover, invoke, and report QoS."""
         endpoint = self.broker.endpoint_for(service_name, binding="inproc")
-        if self.policy is not None:
-            return self._defended_invoker(service_name, endpoint)(
-                operation, arguments
-            )
         start = time.perf_counter()
         try:
             result = self.bus.call(endpoint.address, operation, arguments)

@@ -148,10 +148,15 @@ class RateLimiter:
                     bucket.window_start = now
                     bucket.used = 0
                 if bucket.used >= policy.quota:
+                    # the retry must find a token too, should the window
+                    # roll over before the bucket refills
                     return RateDecision(
                         False,
                         "quota",
-                        retry_after=bucket.window_start + policy.quota_window - now,
+                        retry_after=max(
+                            bucket.window_start + policy.quota_window - now,
+                            (1.0 - bucket.tokens) / policy.rate,
+                        ),
                         remaining_quota=0,
                     )
             if bucket.tokens < 1.0:

@@ -58,7 +58,7 @@ from ..resilience.binding import PooledHttpClients
 from ..resilience.replica import ReplicaBalancer
 from ..transport.http11 import HttpRequest, HttpResponse
 from ..transport.httpserver import HttpServer
-from ..transport.rest import RestEndpoint, fault_to_response
+from ..transport.rest import decode_rest_call, fault_to_response
 from ..transport.wsdl import contract_to_xml
 from ..xmlkit import to_element
 from .policy import GatewayAuthError, SecurityPolicy
@@ -499,9 +499,9 @@ class Gateway:
         registration: Registration,
         request: HttpRequest,
     ) -> tuple[HttpResponse, str]:
-        """Translate the REST-dialect request and send it through the
-        balancer; faults keep the REST status mapping, transport-level
-        upstream failures surface as 502/504."""
+        """Decode the REST-dialect request as the REST endpoint does and
+        send it through the balancer; faults keep the shared fault-status
+        rule, transport-level upstream failures surface as 502/504."""
         remainder = route.strip(request.path)
         contract = registration.contract
         if not remainder:
@@ -513,32 +513,11 @@ class Gateway:
                 HttpResponse.error(404, f"expected {route.prefix}/<operation>"),
                 "not_found",
             )
-        try:
-            operation = contract.operation(remainder)
-        except ServiceFault as exc:
-            return fault_to_response(exc), "fault"
-        try:
-            if request.method == "GET":
-                if not operation.idempotent:
-                    return (
-                        HttpResponse.error(
-                            405,
-                            f"operation {remainder!r} is not idempotent; POST it",
-                        ),
-                        "bad_request",
-                    )
-                arguments = RestEndpoint._arguments_from_query(
-                    operation, request.query
-                )
-            elif request.method == "POST":
-                arguments = RestEndpoint._arguments_from_body(request)
-            else:
-                return HttpResponse.error(405), "bad_request"
-        except (ValueError, ServiceFault) as exc:
-            return (
-                fault_to_response(ServiceFault(str(exc), code="Client.BadRequest")),
-                "bad_request",
-            )
+        arguments = decode_rest_call(contract, remainder, request)
+        if isinstance(arguments, HttpResponse):
+            # an operation the contract lacks is a fault document; every
+            # other refusal is the caller's malformed request
+            return arguments, "fault" if arguments.status == 404 else "bad_request"
 
         balancer = self.balancer_for(route)
         try:
@@ -546,8 +525,7 @@ class Gateway:
         except TimeoutFault as exc:
             return HttpResponse.error(504, f"upstream timeout: {exc}"), "upstream_error"
         except ServiceUnavailable as exc:
-            response = fault_to_response(exc)
-            return response, "upstream_error"
+            return fault_to_response(exc), "upstream_error"
         except ServiceFault as exc:
             return fault_to_response(exc), "fault"
         except TransportError as exc:

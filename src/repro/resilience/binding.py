@@ -171,10 +171,8 @@ def invoker_for_endpoint(
 
         host, port, prefix = _split_http_address(endpoint.address, contract.name)
         http = (http_factory or HttpClient)(host, port)
-        if endpoint.binding == "soap":
-            return SoapClient(http, contract.name, prefix=prefix).call
-        client = RestClient(http, contract.name, prefix=prefix)
-        client._contract = contract  # already discovered via the broker
-        return client.call
+        client_class = SoapClient if endpoint.binding == "soap" else RestClient
+        # the contract was already discovered via the broker
+        return client_class(http, contract.name, prefix, contract=contract).call
 
     raise TransportError(f"no invoker for binding {endpoint.binding!r}")

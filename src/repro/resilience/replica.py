@@ -15,7 +15,9 @@ scale-out the curriculum's dependability unit builds toward:
   straight failures and re-admitted through a **timed probe**: once
   ``readmit_after`` elapses the replica gets exactly one trial call
   (with the healthy replicas as failover behind it) — success readmits
-  it, failure re-ejects it for another cooldown;
+  it, failure re-ejects it for another cooldown.  A call sent before an
+  ejection that answers after it changes nothing: only calls sent since
+  the latest ejection judge the replica;
 * a ``Retry-After`` hint from a load-shedding provider (PR 4's 503
   path, surfaced as :class:`~repro.core.faults.ServiceUnavailable`)
   **cools** that replica for the advertised duration instead of
@@ -89,7 +91,8 @@ class EjectionPolicy:
 
     ``consecutive_failures`` straight failures eject the replica for
     ``readmit_after`` seconds; after that it receives a single probe call
-    (failover-covered) whose outcome readmits or re-ejects it.
+    (failover-covered) whose outcome readmits or re-ejects it.  Outcomes
+    of calls sent before the ejection are ignored.
     """
 
     consecutive_failures: int = 3
@@ -192,8 +195,7 @@ class ReplicaBalancer:
         sleep: Callable[[float], None] = time.sleep,
         rng: Optional[random.Random] = None,
         budget: Optional[RetryBudget] = None,
-        http_factory: Optional[HttpFactory] = None,
-        http_clients: Optional[PooledHttpClients] = None,
+        http_clients: Optional[HttpFactory] = None,
         middlewares: tuple[Middleware, ...] = (),
     ) -> None:
         self.broker = broker
@@ -207,7 +209,6 @@ class ReplicaBalancer:
         self._sleep = sleep
         self._rng = rng or random.Random(0)
         self._budget = budget
-        self._http_factory = http_factory
         self._middlewares = middlewares
         self._breakers = (
             CircuitBreakerRegistry(self.policy.circuit, clock=clock)
@@ -217,11 +218,11 @@ class ReplicaBalancer:
         self._reporter = broker_reporter(broker, service_name)
         self._invokers: dict[str, ResilientInvoker] = {}
         self._invoker_lock = threading.Lock()
-        # A caller-supplied pool (e.g. the gateway sharing one pool
-        # across every fronted service) is borrowed, not owned: close()
-        # must not yank sockets out from under the other balancers.
+        # A caller-supplied client source (e.g. the gateway sharing one
+        # pool across every fronted service) is borrowed, not owned:
+        # close() must not yank sockets out from under its other users.
         self._owns_http_clients = http_clients is None
-        self._shared_http_client = http_clients or PooledHttpClients()
+        self._http_clients: HttpFactory = http_clients or PooledHttpClients()
         self._states: dict[str, _ReplicaState] = {}
         self._lock = threading.Lock()
         self._latencies = _LatencyWindow(hedge.window if hedge else 128)
@@ -234,9 +235,10 @@ class ReplicaBalancer:
 
     def close(self) -> None:
         """Close every pooled HTTP client this balancer dialed (no-op
-        when the pool was injected by — and belongs to — the caller)."""
+        when ``http_clients`` was injected by — and belongs to — the
+        caller)."""
         if self._owns_http_clients:
-            self._shared_http_client.close()
+            self._http_clients.close()
 
     def _invoker_for(
         self, endpoint: Endpoint, registration: Registration
@@ -248,7 +250,7 @@ class ReplicaBalancer:
                     endpoint,
                     registration.contract,
                     bus=self._bus,
-                    http_factory=self._http_factory or self._shared_http_client,
+                    http_factory=self._http_clients,
                 )
                 invoker = ResilientInvoker(
                     raw,
@@ -340,26 +342,37 @@ class ReplicaBalancer:
         return [available[winner][0]] + [endpoint for endpoint, _health in rest]
 
     # -- outcome bookkeeping ---------------------------------------------
-    def _record_success(self, endpoint: Endpoint, latency: float) -> None:
+    # ``ejections`` is the state a call was sent to: an outcome that
+    # arrives after a later ejection answers for a replica the balancer
+    # has already judged, so only calls sent since (the probe) count.
+    def _record_success(
+        self, endpoint: Endpoint, latency: float, ejections: int
+    ) -> None:
+        self._latencies.add(latency)
         readmitted = False
         with self._lock:
             state = self._state_locked(endpoint.key)
+            if state.ejections != ejections:
+                return
             if state.ejected:
                 readmitted = True
             state.ejected = False
             state.failures = 0
             state.ejected_until = 0.0
             state.cooling_until = 0.0
-        self._latencies.add(latency)
         if readmitted:
             self._event("readmit")
 
-    def _record_failure(self, endpoint: Endpoint, exc: Exception) -> None:
+    def _record_failure(
+        self, endpoint: Endpoint, exc: Exception, ejections: int
+    ) -> None:
         now = self._clock()
         retry_after = getattr(exc, "retry_after", None)
         cooled = ejected = False
         with self._lock:
             state = self._state_locked(endpoint.key)
+            if state.ejections != ejections:
+                return
             state.failures += 1
             if retry_after is not None:
                 cool_until = now + float(retry_after)
@@ -441,28 +454,31 @@ class ReplicaBalancer:
         """One call on one replica, with its outcome booked."""
         invoker = self._invoker_for(endpoint, registration)
         started = self._clock()
-        self._inflight_delta(endpoint, +1)
+        ejections = self._inflight_delta(endpoint, +1)
         try:
             result = invoker(operation, arguments)
         except FAILOVER_FAULTS as exc:
-            self._record_failure(endpoint, exc)
+            self._record_failure(endpoint, exc, ejections)
             self._outcome("failover")
             raise
         finally:
             self._inflight_delta(endpoint, -1)
-        self._record_success(endpoint, self._clock() - started)
+        self._record_success(endpoint, self._clock() - started, ejections)
         return result
 
-    def _inflight_delta(self, endpoint: Endpoint, delta: int) -> None:
-        """Track concurrent calls per replica (capacity observability)."""
+    def _inflight_delta(self, endpoint: Endpoint, delta: int) -> int:
+        """Track concurrent calls per replica (capacity observability);
+        returns the replica's ejection count."""
         with self._lock:
             state = self._state_locked(endpoint.key)
             state.inflight += delta
             value = state.inflight
+            ejections = state.ejections
         if OBS.enabled:
             OBS.instruments.replica_inflight.set(
                 value, service=self.service_name, replica=endpoint.key
             )
+        return ejections
 
     def inflight(self) -> dict[str, int]:
         """Point-in-time concurrent calls per replica endpoint."""
@@ -623,7 +639,7 @@ def resilient_proxy_from_broker(
         sleep=sleep,
         rng=rng,
         budget=budget,
-        http_factory=http_factory,
+        http_clients=http_factory,
         middlewares=middlewares,
     )
     return make_proxy(registration.contract, balancer)

@@ -28,7 +28,7 @@ from .conditional import (
     parse_etag_list,
     parse_http_date,
 )
-from .statusmap import attach_retry_after, parse_retry_after, raise_transport_status
+from .statusmap import parse_retry_after, raise_transport_status
 from .wsdl import contract_from_xml, contract_to_xml, contract_to_element, contract_from_element
 from .soap import SoapClient, SoapEndpoint, build_call, build_fault, build_result, parse_envelope, soap_proxy
 from .rest import RestClient, RestEndpoint, RestRouter, coerce_argument, rest_proxy
@@ -39,7 +39,7 @@ __all__ = [
     "HttpServer", "HttpClient", "serve_once",
     "conditional", "compute_etag", "etag_matches", "if_none_match",
     "not_modified", "parse_etag_list", "http_date", "parse_http_date",
-    "parse_retry_after", "attach_retry_after", "raise_transport_status",
+    "parse_retry_after", "raise_transport_status",
     "contract_to_xml", "contract_from_xml", "contract_to_element", "contract_from_element",
     "SoapEndpoint", "SoapClient", "soap_proxy",
     "build_call", "build_result", "build_fault", "parse_envelope",

@@ -7,19 +7,24 @@ contract onto resource-oriented HTTP:
 * ``GET  /rest/<Service>/<operation>?arg=value`` — idempotent operations
 * ``POST /rest/<Service>/<operation>`` with an XML-databound argument map
 * responses are databound XML (``200``), faults carry an ``<error>``
-  document with a status mapped from the fault code.
+  document with the status of the fault rule both bindings share
+  (:mod:`repro.transport.statusmap`).
 
 Because GET query strings are untyped text, the REST endpoint coerces
 query arguments to the parameter types declared in the contract — the
-practical interface lesson the course labs drill.
+practical interface lesson the course labs drill.  That decoding step,
+:func:`decode_rest_call`, is shared with the gateway, which speaks the
+same dialect in front of its routes.
 
 Also includes :class:`RestRouter`, a generic path-pattern router used by
 the web-application framework and the service directory frontend.
 
-:class:`RestClient` is safe to share across threads when backed by the
-pooled :class:`~repro.transport.client.HttpClient`: each concurrent
-call borrows its own keep-alive socket, so idempotent GETs additionally
-get the transport's one-shot retry on a fresh connection while POSTs of
+:class:`RestClient`, the REST dialect of
+:class:`~repro.transport.bindingcore.BindingClient`, is safe to share
+across threads when backed by the pooled
+:class:`~repro.transport.client.HttpClient`: each concurrent call
+borrows its own keep-alive socket, so idempotent GETs additionally get
+the transport's one-shot retry on a fresh connection while POSTs of
 non-idempotent operations fail fast (their replays belong to a
 :mod:`repro.resilience` policy).
 """
@@ -27,19 +32,20 @@ non-idempotent operations fail fast (their replays belong to a
 from __future__ import annotations
 
 import re
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Union
 
-from ..core.contracts import Operation
-from ..core.faults import ServiceFault, TransportError, fault_from_code
-from ..core.proxy import ServiceProxy, make_proxy
+from ..core.contracts import ServiceContract
+from ..core.faults import ServiceFault, TransportError
+from ..core.proxy import ServiceProxy
 from ..core.service import InvocationContext, ServiceHost
-from ..observability.runtime import OBS, server_span
+from ..observability.runtime import server_span
 from ..observability.trace import TRACEPARENT_HEADER
 from ..xmlkit import Element, from_element, parse, to_element
+from .bindingcore import BindingClient, binding_proxy
 from .conditional import compute_etag, if_none_match
 from .http11 import HttpRequest, HttpResponse, encode_query
 from .client import HttpClient
-from .statusmap import attach_retry_after, raise_transport_status
+from .statusmap import append_detail, fault_response, raise_transport_status, rebuild_fault
 from .wsdl import contract_to_xml
 
 __all__ = [
@@ -48,6 +54,7 @@ __all__ = [
     "rest_proxy",
     "RestRouter",
     "coerce_argument",
+    "decode_rest_call",
     "fault_to_response",
 ]
 
@@ -72,38 +79,50 @@ def coerce_argument(raw: str, type_name: str) -> Any:
     raise ValueError(f"cannot pass {type_name} values in a query string")
 
 
-def _fault_response(fault: ServiceFault) -> HttpResponse:
-    """Render a fault as the REST dialect's ``<error>`` document, with
-    the fault code mapped to an HTTP status (and ``Retry-After`` when
-    the fault carries one)."""
+def fault_to_response(fault: ServiceFault) -> HttpResponse:
+    """Render a fault as the REST dialect's ``<error>`` document, answered
+    with the status (and ``Retry-After``) of the shared fault rule; the
+    gateway reports upstream faults through it too."""
     error = Element("error", {"code": fault.code})
     error.append(Element("message", text=str(fault)))
-    if fault.detail is not None:
-        detail = Element("detail")
-        detail.append(to_element("value", fault.detail))
-        error.append(detail)
-    if fault.code.startswith("Client.AccessDenied"):
-        status = 403
-    elif fault.code.startswith("Client.Unknown"):
-        status = 404
-    elif fault.code.startswith("Client"):
-        status = 400
-    elif fault.code == "Server.Unavailable":
-        status = 503
-    elif fault.code == "Server.Timeout":
-        status = 408
-    else:
-        status = 500
-    response = HttpResponse.xml_response(error.toxml(), status=status)
-    retry_after = getattr(fault, "retry_after", None)
-    if retry_after is not None:
-        response.headers.set("Retry-After", f"{retry_after:g}")
-    return response
+    return fault_response(fault, append_detail(error, fault).toxml())
 
 
-#: Public name for the fault-document renderer: the REST dialect's
-#: status mapping is also how the gateway reports upstream faults.
-fault_to_response = _fault_response
+def decode_rest_call(
+    contract: ServiceContract, operation_name: str, request: HttpRequest
+) -> Union[dict[str, Any], HttpResponse]:
+    """The arguments of a REST-dialect call, or the refusal to send: 404
+    (fault document) for an operation ``contract`` lacks, 405 for a GET
+    of a non-idempotent operation or a method other than GET/POST, 400
+    (``Client.BadRequest``) for an undeclared or uncoercible query
+    parameter or a body that is not an ``<arguments>`` document."""
+    try:
+        operation = contract.operation(operation_name)
+    except ServiceFault as exc:
+        return fault_to_response(exc)
+    try:
+        if request.method == "GET":
+            if not operation.idempotent:
+                return HttpResponse.error(
+                    405, f"operation {operation_name!r} is not idempotent; POST it"
+                )
+            types = {p.name: p.type for p in operation.parameters}
+            arguments: dict[str, Any] = {}
+            for name, raw in request.query.items():
+                if name not in types:
+                    raise ValueError(f"unknown query parameter {name!r}")
+                arguments[name] = coerce_argument(raw, types[name])
+            return arguments
+        if request.method != "POST":
+            return HttpResponse.error(405)
+        if not request.body:
+            return {}
+        root = parse(request.text())
+        if root.tag != "arguments":
+            raise ValueError(f"expected <arguments> body, got <{root.tag}>")
+        return {child.tag: from_element(child) for child in root.elements()}
+    except (ValueError, ServiceFault) as exc:
+        return fault_to_response(ServiceFault(str(exc), code="Client.BadRequest"))
 
 
 class RestEndpoint:
@@ -153,24 +172,9 @@ class RestEndpoint:
         host = self._hosts.get(service_name)
         if host is None:
             return HttpResponse.error(404, f"no service {service_name!r}")
-        try:
-            operation = host.contract.operation(operation_name)
-        except ServiceFault as exc:
-            return _fault_response(exc)
-
-        try:
-            if request.method == "GET":
-                if not operation.idempotent:
-                    return HttpResponse.error(
-                        405, f"operation {operation_name!r} is not idempotent; POST it"
-                    )
-                arguments = self._arguments_from_query(operation, request.query)
-            elif request.method == "POST":
-                arguments = self._arguments_from_body(request)
-            else:
-                return HttpResponse.error(405)
-        except (ValueError, ServiceFault) as exc:
-            return _fault_response(ServiceFault(str(exc), code="Client.BadRequest"))
+        arguments = decode_rest_call(host.contract, operation_name, request)
+        if isinstance(arguments, HttpResponse):
+            return arguments
 
         context = InvocationContext(operation_name, headers=dict(request.headers.items()))
         with server_span(
@@ -184,86 +188,24 @@ class RestEndpoint:
                 result = host.invoke(operation_name, arguments, context)
             except ServiceFault as exc:
                 span.record_exception(exc)
-                return _fault_response(exc)
+                return fault_to_response(exc)
         return HttpResponse.xml_response(to_element("result", result).toxml())
 
-    @staticmethod
-    def _arguments_from_query(operation: Operation, query: dict[str, str]) -> dict[str, Any]:
-        types = {p.name: p.type for p in operation.parameters}
-        arguments: dict[str, Any] = {}
-        for name, raw in query.items():
-            if name not in types:
-                raise ValueError(f"unknown query parameter {name!r}")
-            arguments[name] = coerce_argument(raw, types[name])
-        return arguments
 
-    @staticmethod
-    def _arguments_from_body(request: HttpRequest) -> dict[str, Any]:
-        if not request.body:
-            return {}
-        root = parse(request.text())
-        if root.tag != "arguments":
-            raise ValueError(f"expected <arguments> body, got <{root.tag}>")
-        return {child.tag: from_element(child) for child in root.elements()}
-
-
-class RestClient:
+class RestClient(BindingClient):
     """Client for :class:`RestEndpoint`; GETs idempotent ops, POSTs the rest."""
 
-    def __init__(self, http: HttpClient, service_name: str, prefix: str = "/rest") -> None:
-        self.http = http
-        self.service_name = service_name
-        self.prefix = prefix.rstrip("/")
-        self._contract = None
+    binding = "rest"
+    default_prefix = "/rest"
 
-    def close(self) -> None:
-        """Release the underlying HTTP client's pooled connections."""
-        self.http.close()
-
-    def fetch_contract(self):
-        from .wsdl import contract_from_xml
-
-        if self._contract is None:
-            response = self.http.get(f"{self.prefix}/{self.service_name}")
-            if not response.ok:
-                raise_transport_status(response)
-                raise TransportError(f"contract fetch failed: HTTP {response.status}")
-            self._contract = contract_from_xml(response.text())
-        return self._contract
-
-    def call(self, operation: str, arguments: dict[str, Any]) -> Any:
-        if not OBS.enabled:
-            return self._exchange(operation, arguments)
-        with OBS.tracer.span(
-            "rest.call",
-            kind="client",
-            attributes={
-                "binding": "rest",
-                "operation": operation,
-                "endpoint": f"{self.prefix}/{self.service_name}",
-            },
-        ) as span:
-            # traceparent rides the HTTP headers: HttpClient injects it
-            # from the span this block just activated.
-            try:
-                result = self._exchange(operation, arguments)
-            except Exception as exc:
-                span.record_exception(exc)
-                OBS.instruments.client_calls.inc(binding="rest", outcome="fault")
-                raise
-            OBS.instruments.client_calls.inc(binding="rest", outcome="ok")
-            return result
-
-    def _exchange(self, operation: str, arguments: dict[str, Any]) -> Any:
-        """One raw resource round-trip (no telemetry)."""
-        contract = self.fetch_contract()
-        op = contract.operation(operation)
-        path = f"{self.prefix}/{self.service_name}/{operation}"
-        simple = all(
-            isinstance(v, (str, int, float, bool)) and not isinstance(v, bool) or isinstance(v, bool)
-            for v in arguments.values()
-        )
-        if op.idempotent and simple:
+    def _exchange(self, operation: str, arguments: dict[str, Any], span: Any = None) -> Any:
+        """One raw resource round-trip (no telemetry; HttpClient carries
+        ``traceparent`` in the HTTP headers)."""
+        op = self.fetch_contract().operation(operation)
+        path = f"{self.path}/{operation}"
+        if op.idempotent and all(
+            isinstance(v, (str, int, float)) for v in arguments.values()
+        ):
             query = encode_query({k: _query_repr(v) for k, v in arguments.items()})
             response = self.http.get(f"{path}?{query}" if query else path)
         else:
@@ -280,18 +222,12 @@ class RestClient:
         root = parse(response.text())
         if root.tag == "error":
             message_el = root.find("message")
-            detail_el = root.find("detail")
-            detail = None
-            if detail_el is not None:
-                value = detail_el.find("value")
-                detail = from_element(value) if value is not None else None
-            fault = fault_from_code(
+            raise rebuild_fault(
                 root.get("code", "Server"),
                 message_el.text if message_el is not None else "unknown error",
-                detail,
+                root,
+                response,
             )
-            attach_retry_after(fault, response)
-            raise fault
         if root.tag != "result":
             raise TransportError(f"unexpected response element <{root.tag}>")
         return from_element(root)
@@ -311,23 +247,9 @@ def rest_proxy(
     policy: Any = None,
     **policy_kwargs: Any,
 ) -> ServiceProxy:
-    """Fetch the remote contract and return a typed proxy over REST.
-
-    With a ``policy`` (a :class:`repro.resilience.ResiliencePolicy`), the
-    proxy's invoker is wrapped in the resilience middleware chain, so the
-    REST binding is defended exactly like the bus and SOAP bindings.
-    ``policy_kwargs`` (``clock``, ``sleep``, ``rng``, ``budget``,
-    ``reporter``, ``middlewares``...) pass through to
-    :class:`~repro.resilience.ResilientInvoker`.
-    """
-    client = RestClient(http, service_name, prefix)
-    invoker = client.call
-    if policy is not None:
-        from ..resilience.middleware import ResilientInvoker  # lazy: layering
-
-        policy_kwargs.setdefault("endpoint", f"rest:{service_name}")
-        invoker = ResilientInvoker(client.call, policy, **policy_kwargs)
-    return make_proxy(client.fetch_contract(), invoker)
+    """Fetch the remote contract and return a typed proxy over REST,
+    defended by ``policy`` when given (see :func:`binding_proxy`)."""
+    return binding_proxy(RestClient(http, service_name, prefix), policy, policy_kwargs)
 
 
 class RestRouter:

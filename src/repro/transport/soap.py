@@ -9,10 +9,13 @@ re-raises as the same typed fault at the client.
 
 * :class:`SoapEndpoint` — server side: handler mounting one or more
   :class:`~repro.core.service.ServiceHost` dispatchers under
-  ``/soap/<ServiceName>``.
-* :class:`SoapClient` — client side: speaks the envelope dialect over an
-  :class:`~repro.transport.client.HttpClient`; pair with
-  :func:`repro.core.proxy.make_proxy` for a typed façade.
+  ``/soap/<ServiceName>``; a fault is answered with the status of the
+  fault rule the REST binding shares (:mod:`repro.transport.statusmap`),
+  an unreadable envelope with 400 and an authenticator's rejection 401.
+* :class:`SoapClient` — client side: the envelope dialect of
+  :class:`~repro.transport.bindingcore.BindingClient`, adding the
+  in-band ``traceparent`` header block; :func:`soap_proxy` for a typed
+  façade.
 
 :class:`SoapClient` is thread-safe to the extent its ``HttpClient`` is:
 the pooled client hands each concurrent caller its own keep-alive
@@ -27,15 +30,17 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from ..core.faults import ServiceFault, TransportError, fault_from_code
-from ..core.proxy import ServiceProxy, make_proxy
+from ..core.contracts import ServiceContract
+from ..core.faults import ServiceFault, TransportError
+from ..core.proxy import ServiceProxy
 from ..core.service import InvocationContext, ServiceHost
-from ..observability.runtime import OBS, server_span
+from ..observability.runtime import server_span
 from ..observability.trace import TRACEPARENT_HEADER
 from ..xmlkit import Element, from_element, parse, to_element
+from .bindingcore import BindingClient, binding_proxy
 from .http11 import HttpRequest, HttpResponse
 from .client import HttpClient
-from .statusmap import attach_retry_after, raise_transport_status
+from .statusmap import append_detail, fault_response, raise_transport_status, rebuild_fault
 from .wsdl import contract_to_xml
 
 __all__ = [
@@ -89,11 +94,7 @@ def build_fault(fault: ServiceFault) -> Element:
     fault_el = Element("Fault")
     fault_el.append(Element("faultcode", text=fault.code))
     fault_el.append(Element("faultstring", text=str(fault)))
-    if fault.detail is not None:
-        detail = Element("detail")
-        detail.append(to_element("value", fault.detail))
-        fault_el.append(detail)
-    return envelope(fault_el)
+    return envelope(append_detail(fault_el, fault))
 
 
 def parse_envelope(text: str) -> tuple[dict[str, str], Element]:
@@ -192,81 +193,42 @@ class SoapEndpoint:
                 result = host.invoke(operation, arguments, context)
             except ServiceFault as exc:
                 span.record_exception(exc)
-                if exc.code == "Server.Unavailable":
-                    status = 503
-                elif exc.code == "Server.Timeout":
-                    status = 408
-                elif exc.code.startswith("Client"):
-                    status = 400
-                else:
-                    status = 500
-                response = HttpResponse.xml_response(
-                    build_fault(exc).toxml(), status=status
-                )
-                retry_after = getattr(exc, "retry_after", None)
-                if retry_after is not None:
-                    response.headers.set("Retry-After", f"{retry_after:g}")
-                return response
+                return fault_response(exc, build_fault(exc).toxml())
         return HttpResponse.xml_response(build_result(operation, result).toxml())
 
 
-class SoapClient:
-    """Invokes operations on a remote SOAP endpoint."""
+class SoapClient(BindingClient):
+    """Invokes operations on a remote SOAP endpoint.
+
+    ``headers`` become envelope header blocks on every call; a traced
+    call adds the ``traceparent`` block as well.
+    """
+
+    binding = "soap"
+    default_prefix = "/soap"
+    contract_query = "?wsdl"
 
     def __init__(
         self,
         http: HttpClient,
         service_name: str,
-        prefix: str = "/soap",
+        prefix: Optional[str] = None,
         headers: Optional[dict[str, str]] = None,
+        *,
+        contract: Optional[ServiceContract] = None,
     ) -> None:
-        self.http = http
-        self.path = f"{prefix.rstrip('/')}/{service_name}"
+        super().__init__(http, service_name, prefix, contract=contract)
         self.headers = dict(headers or {})
 
-    def close(self) -> None:
-        """Release the underlying HTTP client's pooled connections."""
-        self.http.close()
-
-    def call(self, operation: str, arguments: dict[str, Any]) -> Any:
-        if not OBS.enabled:
-            return self._exchange(operation, arguments, self.headers)
-        with OBS.tracer.span(
-            "soap.call",
-            kind="client",
-            attributes={
-                "binding": "soap",
-                "operation": operation,
-                "endpoint": self.path,
-            },
-        ) as span:
-            headers = self.headers
-            context = span.context
-            if context is not None:
-                # In-band propagation: the trace context rides in the
-                # envelope's header blocks as well as the HTTP header
-                # (which HttpClient injects), so non-HTTP carriers of
-                # the same envelope still propagate.
-                headers = {
-                    **headers,
-                    TRACEPARENT_HEADER: context.traceparent(),
-                }
-            try:
-                result = self._exchange(operation, arguments, headers)
-            except Exception as exc:
-                span.record_exception(exc)
-                OBS.instruments.client_calls.inc(binding="soap", outcome="fault")
-                raise
-            OBS.instruments.client_calls.inc(binding="soap", outcome="ok")
-            return result
-
-    def _exchange(
-        self,
-        operation: str,
-        arguments: dict[str, Any],
-        headers: dict[str, str],
-    ) -> Any:
+    def _exchange(self, operation: str, arguments: dict[str, Any], span: Any = None) -> Any:
         """One raw envelope round-trip (no telemetry)."""
+        headers = self.headers
+        trace = span.context if span is not None else None
+        if trace is not None:
+            # In-band propagation: the trace context rides in the envelope's
+            # header blocks as well as the HTTP header (which HttpClient
+            # injects), so non-HTTP carriers of the envelope still propagate.
+            headers = {**headers, TRACEPARENT_HEADER: trace.traceparent()}
         request_xml = build_call(operation, arguments, headers).toxml()
         response = self.http.post(self.path, request_xml, content_type=CONTENT_TYPE)
         if response.content_type not in (CONTENT_TYPE, "application/xml"):
@@ -282,34 +244,18 @@ class SoapClient:
         if payload.local_name() == "Fault":
             code_el = payload.find("faultcode")
             string_el = payload.find("faultstring")
-            detail_el = payload.find("detail")
-            detail = None
-            if detail_el is not None:
-                value = detail_el.find("value")
-                detail = from_element(value) if value is not None else None
-            fault = fault_from_code(
+            raise rebuild_fault(
                 code_el.text if code_el is not None else "Server",
                 string_el.text if string_el is not None else "unknown fault",
-                detail,
+                payload,
+                response,
             )
-            attach_retry_after(fault, response)
-            raise fault
         if payload.local_name() != "Result":
             raise TransportError(f"unexpected body element <{payload.tag}>")
         return_el = payload.find("return")
         if return_el is None:
             raise TransportError("Result missing return element")
         return from_element(return_el)
-
-    def fetch_contract(self):
-        """Download the service's contract document (the ?wsdl pattern)."""
-        from .wsdl import contract_from_xml
-
-        response = self.http.get(self.path + "?wsdl")
-        if not response.ok:
-            raise_transport_status(response)
-            raise TransportError(f"wsdl fetch failed: HTTP {response.status}")
-        return contract_from_xml(response.text())
 
 
 def soap_proxy(
@@ -320,20 +266,6 @@ def soap_proxy(
     policy: Any = None,
     **policy_kwargs: Any,
 ) -> ServiceProxy:
-    """Discover the remote contract and return a typed proxy over SOAP.
-
-    With a ``policy`` (a :class:`repro.resilience.ResiliencePolicy`), the
-    proxy's invoker runs through the resilience middleware chain, so the
-    SOAP binding is defended exactly like the bus and REST bindings.
-    ``policy_kwargs`` pass through to
-    :class:`~repro.resilience.ResilientInvoker`.
-    """
-    client = SoapClient(http, service_name, prefix)
-    contract = client.fetch_contract()
-    invoker = client.call
-    if policy is not None:
-        from ..resilience.middleware import ResilientInvoker  # lazy: layering
-
-        policy_kwargs.setdefault("endpoint", f"soap:{service_name}")
-        invoker = ResilientInvoker(client.call, policy, **policy_kwargs)
-    return make_proxy(contract, invoker)
+    """Discover the remote contract and return a typed proxy over SOAP,
+    defended by ``policy`` when given (see :func:`binding_proxy`)."""
+    return binding_proxy(SoapClient(http, service_name, prefix), policy, policy_kwargs)

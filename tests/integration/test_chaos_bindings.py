@@ -158,9 +158,9 @@ def raw_invoker(binding, service, gate_plan=None, clock=None):
     handler = (
         ChaosGate(endpoint, gate_plan, clock) if gate_plan is not None else endpoint
     )
-    client = RestClient(InMemoryHttp(handler), "Chaotic")
-    client._contract = service.contract()
-    return client.call
+    return RestClient(
+        InMemoryHttp(handler), "Chaotic", contract=service.contract()
+    ).call
 
 
 def outcome_of(invoke, n):

@@ -1,23 +1,29 @@
 """Model-based test of the replica balancer's per-replica state machine.
 
 Hypothesis drives a :class:`ReplicaBalancer` over inproc replicas with
-random sequences of four rules — call, fail replica *i*, heal replica
-*i*, advance the clock — while a small reference model predicts what
-:meth:`ReplicaBalancer.states` must report for every replica: its status
-(``live``, ``cooling``, ``ejected``, ``probation``), its run of failures
-and its ejection count.  Every call is also checked against the failover
-ladder the statuses promise: a probation replica is probed first, live
-replicas come before cooling ones, cooling before ejected, and a call
-fails only after every replica failed.
+random sequences of rules — call, fail replica *i*, heal replica *i*,
+advance the clock, and park a call inside a replica's handler to finish
+it (succeeding or failing) later — while a small reference model
+predicts what :meth:`ReplicaBalancer.states` must report for every
+replica: its status (``live``, ``cooling``, ``ejected``, ``probation``),
+its run of failures, its ejection count and its calls in flight.  A
+parked call that is still in flight when its replica is ejected must
+change nothing when it finally answers: only calls sent since the
+ejection (the probe) judge the replica.  Every call is also checked
+against the failover ladder the statuses promise: a probation replica is
+probed first, live replicas come before cooling ones, cooling before
+ejected, and a call fails only after every replica failed.
 """
 
 import random
+import threading
 
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
     initialize,
     invariant,
+    precondition,
     rule,
 )
 
@@ -33,20 +39,41 @@ EJECTION = EjectionPolicy(consecutive_failures=2, readmit_after=5.0)
 TIER = {"live": 0, "probation": 0, "cooling": 1, "ejected": 2}
 
 
+class Parking:
+    """Holds the next call to reach any replica inside its handler."""
+
+    def __init__(self):
+        self.armed = False
+        self.index = None  # the replica the parked call reached
+        self.ok = True  # how the parked call answers once released
+        self.entered = threading.Event()
+        self.released = threading.Event()
+
+
 class Node(Service):
     """One replica: answers with its index, or raises its failure."""
 
     category = "demo"
 
-    def __init__(self, index, attempts):
+    def __init__(self, index, attempts, parking):
         self.index = index
         self.attempts = attempts
+        self.parking = parking
         self.failure = None
 
     @operation
     def ping(self) -> int:
-        """Record the attempt; answer or fail."""
+        """Record the attempt; park if asked to; answer or fail."""
         self.attempts.append(self.index)
+        parking = self.parking
+        if parking.armed:
+            parking.armed = False
+            parking.index = self.index
+            parking.entered.set()
+            assert parking.released.wait(10), "parked call never released"
+            if not parking.ok:
+                raise TransportError(f"node {self.index} late failure")
+            return self.index
         if self.failure is not None:
             raise self.failure
         return self.index
@@ -61,6 +88,7 @@ class ModelReplica:
         self.ejected_until = 0.0
         self.cooling_until = 0.0
         self.ejections = 0
+        self.inflight = 0
 
     def status(self, now):
         if self.ejected:
@@ -94,13 +122,17 @@ class BalancerModel(RuleBasedStateMachine):
         super().__init__()
         self.balancer = None
         self.called = False
+        self.parked = None  # (thread, outcome, replica, ejections when sent)
 
     @initialize(seed=st.integers(0, 2**16))
     def world(self, seed):
         self.attempts = []
+        self.parking = Parking()
         self.clock = ManualClock()
         self.bus, self.broker = ServiceBus(), ServiceBroker()
-        self.nodes = [Node(i, self.attempts) for i in range(REPLICAS)]
+        self.nodes = [
+            Node(i, self.attempts, self.parking) for i in range(REPLICAS)
+        ]
         self.endpoints = [
             Endpoint("inproc", self.bus.host(node, f"node-{node.index}"))
             for node in self.nodes
@@ -168,12 +200,74 @@ class BalancerModel(RuleBasedStateMachine):
             assert all(failing)
             assert f"node {attempts[-1]} " in str(error)
         self.check_ladder(attempts, before, health)
+        self.apply(attempts, now)
 
+    def apply(self, attempts, now):
+        """Book each attempt's outcome in the model, in order."""
         for i in attempts:
-            if failing[i]:
+            if self.nodes[i].failure is not None:
                 self.model[i].failed(now, self.hints[i])
             else:
                 self.model[i].succeeded()
+
+    @precondition(lambda self: self.balancer is not None and self.parked is None)
+    @rule()
+    def park_call(self):
+        """Send a call that stops inside the first replica it reaches."""
+        outcome = {}
+
+        def run():
+            try:
+                outcome["answer"] = self.balancer("ping", {})
+            except (ServiceUnavailable, TransportError) as exc:
+                outcome["error"] = exc
+
+        self.parking.armed = True
+        self.parking.entered.clear()
+        self.parking.released.clear()
+        thread = threading.Thread(target=run, name="parked-call", daemon=True)
+        thread.start()
+        assert self.parking.entered.wait(10), "the parked call never arrived"
+        del self.attempts[:]
+        self.called = True
+        index = self.parking.index
+        self.model[index].inflight += 1
+        self.parked = (thread, outcome, index, self.model[index].ejections)
+
+    @precondition(lambda self: self.parked is not None)
+    @rule(ok=st.booleans())
+    def release_parked_call(self, ok):
+        """Let the parked call answer; on failure it fails over."""
+        thread, outcome, index, ejections = self.parked
+        self.parked = None
+        now = self.clock.now()
+        del self.attempts[:]
+        self.parking.ok = ok
+        self.parking.released.set()
+        thread.join(10)
+        assert not thread.is_alive()
+        attempts = list(self.attempts)  # the failover after a late failure
+        replica = self.model[index]
+        replica.inflight -= 1
+        if replica.ejections == ejections:  # not ejected since it was sent
+            if ok:
+                replica.succeeded()
+            else:
+                replica.failed(now, None)
+        if ok:
+            assert outcome == {"answer": index} and not attempts
+            return
+        self.apply(attempts, now)
+        healthy = [i for i in attempts if self.nodes[i].failure is None]
+        if healthy:
+            assert outcome == {"answer": healthy[0]} and attempts[-1] == healthy[0]
+        else:
+            assert "error" in outcome
+
+    def teardown(self):
+        if self.parked is not None:
+            self.parking.released.set()
+            self.parked[0].join(10)
 
     def check_ladder(self, attempts, before, health):
         """The attempt order follows the statuses held before the call."""
@@ -212,7 +306,7 @@ class BalancerModel(RuleBasedStateMachine):
                 "status": replica.status(now),
                 "failures": replica.failures,
                 "ejections": replica.ejections,
-                "inflight": 0,
+                "inflight": replica.inflight,
             }
             for endpoint, replica in zip(self.endpoints, self.model)
         }
@@ -222,3 +316,21 @@ BalancerModel.TestCase.settings = settings(
     max_examples=60, stateful_step_count=40, deadline=None
 )
 TestBalancerModel = BalancerModel.TestCase
+
+
+def test_late_success_of_a_call_sent_before_ejection_does_not_readmit():
+    """A call parked inside a replica while the replica is ejected, then
+    answering, must leave it ejected: only the probe readmits it."""
+    machine = BalancerModel()
+    machine.world(seed=0)
+    machine.park_call()
+    for index in range(REPLICAS):
+        machine.fail(index, None)
+    machine.call()
+    machine.call()  # the second run of failures ejects every replica
+    for index in range(REPLICAS):
+        machine.heal(index)
+    machine.release_parked_call(True)
+    machine.states_match_model()
+    parked = machine.endpoints[machine.parking.index].key
+    assert machine.balancer.states()[parked]["status"] == "ejected"

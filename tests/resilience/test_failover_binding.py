@@ -10,7 +10,6 @@ one contract.
 import pytest
 
 from repro.core import (
-    BusClient,
     Endpoint,
     Service,
     ServiceBroker,
@@ -290,7 +289,7 @@ class TestCrossBindingFailover:
 
     def test_soap_down_rest_answers(self):
         broker, factory = self.make_world()
-        invoker = balancer(broker, policy=NO_WAIT, http_factory=factory)
+        invoker = balancer(broker, policy=NO_WAIT, http_clients=factory)
         assert invoker("say", {"text": "over the wire"}) == "over the wire"
         hosts = [host for host, _, _ in factory.made]
         assert hosts == ["soap-host", "rest-host"]
@@ -305,7 +304,7 @@ class TestCrossBindingFailover:
             retry=RetryPolicy(attempts=2, base_delay=0.0), circuit=None
         )
         invoker = balancer(
-            broker, policy=policy, sleep=slept.append, http_factory=factory
+            broker, policy=policy, sleep=slept.append, http_clients=factory
         )
         assert invoker("say", {"text": "x"}) == "x"
         # The provider's retry_after=5.0 crossed the SOAP wire as a 503
@@ -400,18 +399,6 @@ class TestProxyFromBrokerPolicyPath:
         assert proxy.say(text="hello") == "hello"
         reg = broker.lookup("Echo")
         assert reg.qos.samples == 1
-        assert reg.qos_for(Endpoint("inproc", "inproc://echo")).samples == 1
-
-    def test_bus_client_policy_reports_endpoint_qos(self):
-        broker = ServiceBroker()
-        bus = ServiceBus()
-        bus.host_and_publish(Echo(), broker)
-        clock = ManualClock()
-        client = BusClient(
-            bus, broker, policy=NO_WAIT, clock=clock, sleep=clock.advance
-        )
-        assert client.call("Echo", "say", text="bus") == "bus"
-        reg = broker.lookup("Echo")
         assert reg.qos_for(Endpoint("inproc", "inproc://echo")).samples == 1
 
 
