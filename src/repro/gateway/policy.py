@@ -63,13 +63,16 @@ class GatewayAuthError(Exception):
         self.challenge = challenge  # WWW-Authenticate value for 401s
 
 
-def _challenge(error: Optional[str] = None, description: Optional[str] = None) -> str:
+def _unauthorized(
+    message: str, error: Optional[str] = None, description: Optional[str] = None
+) -> GatewayAuthError:
+    """A 401 refusal with its RFC 6750 ``WWW-Authenticate`` challenge."""
     parts = [f'Bearer realm="{_REALM}"']
     if error:
         parts.append(f'error="{error}"')
     if description:
         parts.append(f'error_description="{description}"')
-    return ", ".join(parts)
+    return GatewayAuthError(message, status=401, challenge=", ".join(parts))
 
 
 class SecurityPolicy:
@@ -92,10 +95,10 @@ class SecurityPolicy:
             return None
         scheme, _, credentials = header.strip().partition(" ")
         if scheme.lower() != "bearer" or not credentials.strip():
-            raise GatewayAuthError(
+            raise _unauthorized(
                 "unsupported Authorization scheme (Bearer only)",
-                status=401,
-                challenge=_challenge("invalid_request", "Bearer scheme required"),
+                "invalid_request",
+                "Bearer scheme required",
             )
         return credentials.strip()
 
@@ -112,21 +115,13 @@ class SecurityPolicy:
         try:
             principal, roles = self.issuer.authenticate(token)
         except AuthError as exc:
-            raise GatewayAuthError(
-                str(exc),
-                status=401,
-                challenge=_challenge("invalid_token", str(exc)),
-            ) from exc
+            raise _unauthorized(str(exc), "invalid_token", str(exc)) from exc
         return Principal(principal, roles)
 
     def require(self, principal: Principal) -> None:
         """401 unless the caller actually authenticated."""
         if principal.anonymous:
-            raise GatewayAuthError(
-                "authentication required",
-                status=401,
-                challenge=_challenge(),
-            )
+            raise _unauthorized("authentication required")
 
     def authorize(self, principal: Principal, permission: str) -> None:
         """403 unless ``principal`` holds ``permission`` (401 if anonymous)."""
@@ -143,17 +138,9 @@ class SecurityPolicy:
         try:
             ok = self.vault.login(user_id, password)
         except AuthError as exc:
-            raise GatewayAuthError(
-                str(exc),
-                status=401,
-                challenge=_challenge("invalid_grant"),
-            ) from exc
+            raise _unauthorized(str(exc), "invalid_grant") from exc
         if not ok:
-            raise GatewayAuthError(
-                "bad credentials",
-                status=401,
-                challenge=_challenge("invalid_grant"),
-            )
+            raise _unauthorized("bad credentials", "invalid_grant")
         roles = self.access.roles_of(user_id)
         return self.issuer.issue(user_id, roles), self.issuer.ttl
 
@@ -162,11 +149,7 @@ class SecurityPolicy:
         returns how many tokens were revoked."""
         token = self.bearer_token(request)
         if token is None:
-            raise GatewayAuthError(
-                "authentication required",
-                status=401,
-                challenge=_challenge(),
-            )
+            raise _unauthorized("authentication required")
         principal = self.authenticate(request)
         if everywhere:
             return self.issuer.revoke_all(principal.name)

@@ -16,10 +16,11 @@ nothing — retrying at the advertised time succeeds (no punishment for
 honouring ``Retry-After``).
 
 Buckets are created on first sight of a key and reclaimed by an
-amortized idle sweep (every ``sweep_interval`` admissions, buckets idle
-past ``idle_ttl`` are dropped), so one-shot anonymous addresses cannot
-grow the map without bound.  The clock is injectable; tests drive it
-manually.
+amortized idle sweep (every ``sweep_interval`` checks, or every as many
+checks as there are buckets if that is more, buckets idle past
+``idle_ttl`` whose quota window has lapsed are dropped — a spent quota is
+never forgotten early), so one-shot anonymous addresses cannot grow the
+map without bound.  The clock is injectable; tests drive it manually.
 """
 
 from __future__ import annotations
@@ -69,9 +70,10 @@ class RateDecision:
 class _Bucket:
     """Mutable per-key state: bucket level + quota window tally."""
 
-    __slots__ = ("tokens", "refilled_at", "window_start", "used", "last_seen")
+    __slots__ = ("tokens", "refilled_at", "window_start", "used", "last_seen", "window")
 
     def __init__(self, policy: RateLimitPolicy, now: float) -> None:
+        self.window = 0.0 if policy.quota is None else policy.quota_window
         self.tokens = policy.burst
         self.refilled_at = now
         self.window_start = now
@@ -108,6 +110,7 @@ class RateLimiter:
         self._overrides: dict[str, RateLimitPolicy] = {}
         self._buckets: dict[str, _Bucket] = {}
         self._checks_since_sweep = 0
+        self._sweep_due = sweep_interval
         self._lock = threading.Lock()
 
     # -- configuration ---------------------------------------------------
@@ -132,7 +135,7 @@ class RateLimiter:
         now = self._clock()
         with self._lock:
             self._checks_since_sweep += 1
-            if self._checks_since_sweep >= self.sweep_interval:
+            if self._checks_since_sweep >= self._sweep_due:
                 self._sweep_locked(now)
             bucket = self._buckets.get(key)
             if bucket is None:
@@ -159,26 +162,18 @@ class RateLimiter:
                         ),
                         remaining_quota=0,
                     )
+            remaining = None if policy.quota is None else policy.quota - bucket.used
             if bucket.tokens < 1.0:
                 return RateDecision(
                     False,
                     "throttled",
                     retry_after=(1.0 - bucket.tokens) / policy.rate,
-                    remaining_quota=(
-                        policy.quota - bucket.used
-                        if policy.quota is not None
-                        else None
-                    ),
+                    remaining_quota=remaining,
                 )
             bucket.tokens -= 1.0
             bucket.used += 1
             return RateDecision(
-                True,
-                remaining_quota=(
-                    policy.quota - bucket.used
-                    if policy.quota is not None
-                    else None
-                ),
+                True, remaining_quota=None if remaining is None else remaining - 1
             )
 
     # -- housekeeping ----------------------------------------------------
@@ -187,14 +182,17 @@ class RateLimiter:
             key
             for key, bucket in self._buckets.items()
             if now - bucket.last_seen >= self.idle_ttl
+            and now - bucket.window_start >= bucket.window
         ]
         for key in idle:
             del self._buckets[key]
         self._checks_since_sweep = 0
+        self._sweep_due = max(self.sweep_interval, len(self._buckets))
         return len(idle)
 
     def sweep(self) -> int:
-        """Drop buckets idle past ``idle_ttl`` now; returns how many."""
+        """Drop buckets idle past ``idle_ttl`` whose quota window has
+        lapsed now; returns how many."""
         with self._lock:
             return self._sweep_locked(self._clock())
 

@@ -16,12 +16,16 @@ one place that does, in order:
 4. **rate-limit** — per-principal token bucket + daily quota from
    :class:`~repro.gateway.rate_limiter.RateLimiter` (429 +
    ``Retry-After``; anonymous callers bucket per client address);
-5. **balance** — the call forwarded through one
-   :class:`~repro.resilience.replica.ReplicaBalancer` per fronted
-   service, all sharing a single
+5. **balance** — the call, checked against the contract, forwarded
+   through one :class:`~repro.resilience.replica.ReplicaBalancer` per
+   fronted service, all sharing a single
    :class:`~repro.resilience.binding.PooledHttpClients` — P2C replica
    selection, ejection and in-call failover included, so a replica
-   dying mid-load never surfaces to the gateway's callers.
+   dying mid-load never surfaces to the gateway's callers.  A REST
+   replica is *relayed* the call as it arrived (method, query, body and
+   ``Content-Type``; never the caller's credentials, cookies or trace
+   header) and its reply returned as it is; a SOAP or inproc replica is
+   sent the decoded arguments, and its result is rendered as REST.
 
 The wire dialect behind a route is the REST binding's
 (``GET /<prefix>/<op>?args`` for idempotent operations,
@@ -259,27 +263,18 @@ class Gateway:
             return self._metrics_route(request)
         if path == "/healthz":
             return self.health(request)
+        label = path
         if path == "/debug" or path.startswith("/debug/"):
-            response = self._debug_route(request)
-            self._observe("/debug", "ok" if response.ok else "denied", started)
-            return response
-        if (
-            path == "/traces"
-            or path.startswith("/traces/")
-            or path == "/dependencies"
-        ):
-            response = self._guarded_proxy(
+            label, response = "/debug", self._debug_route(request)
+        elif path in ("/traces", "/dependencies") or path.startswith("/traces/"):
+            label, response = "/traces", self._guarded_proxy(
                 request, self.trace_permission, self._trace_store, "no_trace_store"
             )
-            self._observe("/traces", "ok" if response.ok else "denied", started)
-            return response
-        if path == "/cache/stats":
-            response = self._guarded_proxy(
+        elif path == "/cache/stats":
+            label, response = "/cache", self._guarded_proxy(
                 request, None, self._cache_node, "no_cache_node"
             )
-            self._observe("/cache", "ok" if response.ok else "denied", started)
-            return response
-        if path == "/auth/token":
+        elif path == "/auth/token":
             response = self._token_route(request)
         elif path == "/auth/logout":
             response = self._logout_route(request)
@@ -292,9 +287,7 @@ class Gateway:
             response, outcome = self._mediate(route, request)
             self._observe(route.prefix, outcome, started)
             return response
-        label = path
-        outcome = "ok" if response.ok else "denied"
-        self._observe(label, outcome, started)
+        self._observe(label, "ok" if response.ok else "denied", started)
         return response
 
     def _auth_error_response(self, exc: GatewayAuthError) -> HttpResponse:
@@ -446,11 +439,9 @@ class Gateway:
             if route.permission is not None:
                 self.security.authorize(principal, route.permission)
         except GatewayAuthError as exc:
-            self._refused("unauthenticated" if exc.status == 401 else "forbidden")
-            return (
-                self._auth_error_response(exc),
-                "unauthenticated" if exc.status == 401 else "forbidden",
-            )
+            reason = "unauthenticated" if exc.status == 401 else "forbidden"
+            self._refused(reason)
+            return self._auth_error_response(exc), reason
         decision = self.limiter.check(
             principal.rate_key(request.client_address),
             anonymous=principal.anonymous,
@@ -499,9 +490,12 @@ class Gateway:
         registration: Registration,
         request: HttpRequest,
     ) -> tuple[HttpResponse, str]:
-        """Decode the REST-dialect request as the REST endpoint does and
-        send it through the balancer; faults keep the shared fault-status
-        rule, transport-level upstream failures surface as 502/504."""
+        """Check the REST-dialect request as the REST endpoint does, then
+        send it through the balancer: relayed to a REST replica, whose
+        status, body, ``Content-Type`` and ``Retry-After`` come back as
+        they are, or decoded for any other binding and its result
+        rendered here.  Faults keep the shared fault-status rule;
+        transport-level upstream failures surface as 502/504."""
         remainder = route.strip(request.path)
         contract = registration.contract
         if not remainder:
@@ -521,7 +515,7 @@ class Gateway:
 
         balancer = self.balancer_for(route)
         try:
-            result = balancer(remainder, arguments)
+            result = balancer(remainder, arguments, relay=request)
         except TimeoutFault as exc:
             return HttpResponse.error(504, f"upstream timeout: {exc}"), "upstream_error"
         except ServiceUnavailable as exc:
@@ -533,7 +527,10 @@ class Gateway:
                 HttpResponse.error(502, f"upstream unreachable: {exc}"),
                 "upstream_error",
             )
-        return (
-            HttpResponse.xml_response(to_element("result", result).toxml()),
-            "ok",
-        )
+        if not isinstance(result, HttpResponse):
+            return HttpResponse.xml_response(to_element("result", result).toxml()), "ok"
+        reply = HttpResponse(result.status, body=result.body)
+        for name in ("Content-Type", "Retry-After"):
+            if name in result.headers:
+                reply.headers.set(name, result.headers.get(name))
+        return reply, "ok"

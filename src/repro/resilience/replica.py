@@ -14,8 +14,9 @@ scale-out the curriculum's dependability unit builds toward:
 * replicas are **ejected** after ``EjectionPolicy.consecutive_failures``
   straight failures and re-admitted through a **timed probe**: once
   ``readmit_after`` elapses the replica gets exactly one trial call
-  (with the healthy replicas as failover behind it) — success readmits
-  it, failure re-ejects it for another cooldown.  A call sent before an
+  (with the healthy replicas as failover behind it; calls planned while
+  it is in flight treat the replica as ejected) — success readmits it,
+  failure re-ejects it for another cooldown.  A call sent before an
   ejection that answers after it changes nothing: only calls sent since
   the latest ejection judge the replica;
 * a ``Retry-After`` hint from a load-shedding provider (PR 4's 503
@@ -84,6 +85,9 @@ FAILOVER_FAULTS: tuple[type[Exception], ...] = (
     OSError,
 )
 
+#: One caller's call: operation, arguments, and the REST request to relay.
+Call = tuple[str, dict[str, Any], Any]
+
 
 @dataclass(frozen=True)
 class EjectionPolicy:
@@ -135,7 +139,7 @@ class _ReplicaState:
 
     __slots__ = (
         "failures", "ejected_until", "cooling_until", "ejections", "ejected",
-        "inflight",
+        "inflight", "probe",
     )
 
     def __init__(self) -> None:
@@ -145,6 +149,7 @@ class _ReplicaState:
         self.ejections = 0
         self.ejected = False
         self.inflight = 0
+        self.probe = -1  # the ejection count its in-flight probe was sent under
 
 
 class _LatencyWindow:
@@ -301,8 +306,8 @@ class ReplicaBalancer:
             ejected: list[Endpoint] = []
             for endpoint, health in replicas:
                 state = self._state_locked(endpoint.key)
-                if state.ejected and now < state.ejected_until:
-                    ejected.append(endpoint)
+                if state.ejected and (now < state.ejected_until or state.probe == state.ejections):
+                    ejected.append(endpoint)  # cooling down, or its probe in flight
                 elif state.ejected:
                     probes.append(endpoint)  # cooldown elapsed: one trial call
                 elif now < state.cooling_until:
@@ -310,6 +315,9 @@ class ReplicaBalancer:
                 else:
                     available.append((endpoint, health))
             live = len(available) + len(probes)
+            if probes:
+                state = self._states[probes[0].key]
+                state.probe = state.ejections
         if OBS.enabled:
             OBS.instruments.replica_live.set(live, service=self.service_name)
 
@@ -420,7 +428,11 @@ class ReplicaBalancer:
             return out
 
     # -- invocation ------------------------------------------------------
-    def __call__(self, operation: str, arguments: dict[str, Any]) -> Any:
+    def __call__(self, operation: str, arguments: dict[str, Any], relay: Any = None) -> Any:
+        """Call ``operation`` on one replica, failing over to the rest.
+        With ``relay``, the caller's own REST-dialect request (the
+        gateway's), REST replicas are sent it as it arrived and their
+        reply, an ``HttpResponse``, is returned undecoded."""
         registration = self.broker.lookup(self.service_name)
         replicas = self.broker.replica_health(
             self.service_name, binding=self._binding
@@ -435,8 +447,8 @@ class ReplicaBalancer:
             and len(order) > 1
             and self._is_idempotent(registration, operation)
         ):
-            return self._call_hedged(order, registration, operation, arguments)
-        return self._failover_call(order, registration, operation, arguments)
+            return self._call_hedged(order, registration, (operation, arguments, relay))
+        return self._failover_call(order, registration, (operation, arguments, relay))
 
     def _is_idempotent(self, registration: Registration, operation: str) -> bool:
         try:
@@ -444,14 +456,11 @@ class ReplicaBalancer:
         except Exception:  # unknown operation: let the invoker raise the fault
             return False
 
-    def _attempt(
-        self,
-        endpoint: Endpoint,
-        registration: Registration,
-        operation: str,
-        arguments: dict[str, Any],
-    ) -> Any:
+    def _attempt(self, endpoint: Endpoint, registration: Registration, call: Call) -> Any:
         """One call on one replica, with its outcome booked."""
+        operation, arguments, relay = call
+        if relay is not None and endpoint.binding == "rest":
+            arguments = relay  # sent as it arrived
         invoker = self._invoker_for(endpoint, registration)
         started = self._clock()
         ejections = self._inflight_delta(endpoint, +1)
@@ -461,17 +470,22 @@ class ReplicaBalancer:
             self._record_failure(endpoint, exc, ejections)
             self._outcome("failover")
             raise
+        else:
+            self._record_success(endpoint, self._clock() - started, ejections)
         finally:
-            self._inflight_delta(endpoint, -1)
-        self._record_success(endpoint, self._clock() - started, ejections)
+            self._inflight_delta(endpoint, -1, ejections)
         return result
 
-    def _inflight_delta(self, endpoint: Endpoint, delta: int) -> int:
+    def _inflight_delta(self, endpoint: Endpoint, delta: int, sent_under: int = -1) -> int:
         """Track concurrent calls per replica (capacity observability);
-        returns the replica's ejection count."""
+        returns the replica's ejection count.  An attempt that ends, its
+        outcome booked, under the ejection count it was ``sent_under``
+        ends the replica's probe, if one was in flight."""
         with self._lock:
             state = self._state_locked(endpoint.key)
             state.inflight += delta
+            if sent_under == state.ejections:
+                state.probe = -1
             value = state.inflight
             ejections = state.ejections
         if OBS.enabled:
@@ -493,8 +507,7 @@ class ReplicaBalancer:
         self,
         order: list[Endpoint],
         registration: Registration,
-        operation: str,
-        arguments: dict[str, Any],
+        call: Call,
         last: Optional[Exception] = None,
     ) -> Any:
         """Try ``order`` in turn; the first success wins.
@@ -506,7 +519,7 @@ class ReplicaBalancer:
         """
         for endpoint in order:
             try:
-                result = self._attempt(endpoint, registration, operation, arguments)
+                result = self._attempt(endpoint, registration, call)
             except FAILOVER_FAULTS as exc:
                 last = exc
                 continue
@@ -539,11 +552,7 @@ class ReplicaBalancer:
         return min(max(observed, self.hedge.min_delay), self.hedge.max_delay)
 
     def _call_hedged(
-        self,
-        order: list[Endpoint],
-        registration: Registration,
-        operation: str,
-        arguments: dict[str, Any],
+        self, order: list[Endpoint], registration: Registration, call: Call
     ) -> Any:
         """Race the primary against one hedge leg; first success wins.
 
@@ -556,7 +565,7 @@ class ReplicaBalancer:
 
         def leg(label: str, endpoint: Endpoint) -> None:
             try:
-                value = self._attempt(endpoint, registration, operation, arguments)
+                value = self._attempt(endpoint, registration, call)
             except Exception as exc:  # noqa: BLE001 - transported to caller
                 outcomes.put((label, False, exc))
             else:
@@ -601,9 +610,7 @@ class ReplicaBalancer:
             failures.append(payload)
         # both hedge legs failed: walk the remaining replicas in order
         spares = order[2:] if hedged else order[1:]
-        return self._failover_call(
-            spares, registration, operation, arguments, last=failures[-1]
-        )
+        return self._failover_call(spares, registration, call, last=failures[-1])
 
 
 def resilient_proxy_from_broker(

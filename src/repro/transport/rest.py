@@ -198,27 +198,42 @@ class RestClient(BindingClient):
     binding = "rest"
     default_prefix = "/rest"
 
-    def _exchange(self, operation: str, arguments: dict[str, Any], span: Any = None) -> Any:
+    def _exchange(self, operation: str, arguments: Any, span: Any = None) -> Any:
         """One raw resource round-trip (no telemetry; HttpClient carries
-        ``traceparent`` in the HTTP headers)."""
-        op = self.fetch_contract().operation(operation)
+        ``traceparent`` in the HTTP headers): encode, send, decode.  A call
+        that arrived in this dialect already (the caller's
+        :class:`HttpRequest` in place of ``arguments``, as the gateway
+        relays it) is sent to this endpoint with its own method, query,
+        body and ``Content-Type`` only; an XML reply below 400 comes back
+        as it is, and any other reply is checked as a decoded call's is."""
         path = f"{self.path}/{operation}"
-        if op.idempotent and all(
+        relayed = isinstance(arguments, HttpRequest)
+        if relayed:
+            _path, mark, query = arguments.target.partition("?")
+            request = HttpRequest(arguments.method, path + mark + query, {}, arguments.body)
+            if "Content-Type" in arguments.headers:
+                request.headers.set("Content-Type", arguments.headers.get("Content-Type"))
+        elif self.fetch_contract().operation(operation).idempotent and all(
             isinstance(v, (str, int, float)) for v in arguments.values()
         ):
             query = encode_query({k: _query_repr(v) for k, v in arguments.items()})
-            response = self.http.get(f"{path}?{query}" if query else path)
+            request = HttpRequest("GET", f"{path}?{query}" if query else path)
         else:
             body = Element("arguments")
             for name, value in arguments.items():
                 body.append(to_element(name, value))
-            response = self.http.post(path, body.toxml(), content_type="application/xml")
+            request = HttpRequest(
+                "POST", path, {"Content-Type": "application/xml"}, body.toxml().encode()
+            )
+        response = self.http.request(request)
         if response.content_type != "application/xml":
             raise_transport_status(response)
             raise TransportError(
                 f"expected XML response, got {response.content_type!r} "
                 f"(HTTP {response.status})"
             )
+        if relayed and response.status < 400:
+            return response
         root = parse(response.text())
         if root.tag == "error":
             message_el = root.find("message")

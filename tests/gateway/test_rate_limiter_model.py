@@ -2,8 +2,9 @@
 
 Hypothesis drives one :class:`RateLimiter` on an injected clock with
 random sequences of rules — check a key (as an authenticated principal
-or an anonymous caller), advance the clock, override a key's policy, and
-retry a denied key exactly when its ``Retry-After`` said to — while a
+or an anonymous caller), advance the clock, override a key's policy,
+sweep idle buckets, and retry a denied key exactly when its
+``Retry-After`` said to — while a
 small reference model, in exact rational arithmetic, predicts every
 decision: admitted or not, its ``reason``, its ``retry_after`` and its
 ``remaining_quota``.  Two promises of the limiter are checked on every
@@ -12,8 +13,10 @@ answer), and a retry at the advertised ``retry_after`` is admitted.
 
 Rates, times and windows are dyadic, so the limiter's float arithmetic
 is exact and its answers must equal the model's to the last bit.  The
-idle-bucket sweep (every ``sweep_interval`` checks) is outside the
-model: a run makes far fewer checks than that.
+model also predicts the idle sweep, explicit or amortized into checks
+(small ``idle_ttl`` and ``sweep_interval`` make it happen): it drops a
+bucket idle past ``idle_ttl`` only once its quota window has lapsed,
+and the model must agree on which buckets are left.
 """
 
 from fractions import Fraction
@@ -50,20 +53,49 @@ class Clock:
 
 class ModelBucket:
     def __init__(self, policy, now):
+        self.policy = policy  # the one it was created under
         self.tokens = Fraction(policy.burst)
         self.refilled_at = now
         self.window_start = now
         self.used = 0
+        self.last_seen = now
+
+    def reclaimable(self, now, idle_ttl):
+        """Idle long enough, with no quota tally left to remember."""
+        window = self.policy.quota_window if self.policy.quota is not None else 0
+        return (
+            now - self.last_seen >= Fraction(idle_ttl)
+            and now - self.window_start >= Fraction(window)
+        )
 
 
 class ModelLimiter:
     """What the limiter should decide, in exact arithmetic."""
 
-    def __init__(self, default, anonymous):
+    def __init__(self, default, anonymous, idle_ttl, sweep_interval):
         self.default = default
         self.anonymous = anonymous
+        self.idle_ttl = idle_ttl
+        self.sweep_interval = sweep_interval
         self.overrides = {}
         self.buckets = {}
+        self.checks = 0  # since the last sweep
+        self.sweep_due = sweep_interval
+
+    def sweep(self, now):
+        """Drop the reclaimable buckets; the next amortized sweep comes
+        after as many checks as buckets are left (``sweep_interval`` at
+        least)."""
+        idle = [
+            key
+            for key, bucket in self.buckets.items()
+            if bucket.reclaimable(now, self.idle_ttl)
+        ]
+        for key in idle:
+            del self.buckets[key]
+        self.checks = 0
+        self.sweep_due = max(self.sweep_interval, len(self.buckets))
+        return len(idle)
 
     def set_policy(self, key, policy):
         self.overrides[key] = policy
@@ -74,8 +106,12 @@ class ModelLimiter:
         policy = self.overrides.get(key) or (
             self.anonymous if anonymous else self.default
         )
+        self.checks += 1
+        if self.checks >= self.sweep_due:
+            self.sweep(now)
         rate = Fraction(policy.rate)
         bucket = self.buckets.setdefault(key, ModelBucket(policy, now))
+        bucket.last_seen = now
         bucket.tokens = min(
             Fraction(policy.burst), bucket.tokens + (now - bucket.refilled_at) * rate
         )
@@ -101,11 +137,22 @@ class RateLimiterModel(RuleBasedStateMachine):
         super().__init__()
         self.limiter = None
 
-    @initialize(default=policies, anonymous=policies)
-    def world(self, default, anonymous):
+    @initialize(
+        default=policies,
+        anonymous=policies,
+        idle_ttl=st.sampled_from([1.0, 16.0, 3600.0]),
+        sweep_interval=st.sampled_from([1, 3, 1024]),
+    )
+    def world(self, default, anonymous, idle_ttl, sweep_interval):
         self.clock = Clock()
-        self.limiter = RateLimiter(default, anonymous=anonymous, clock=self.clock)
-        self.model = ModelLimiter(default, anonymous)
+        self.limiter = RateLimiter(
+            default,
+            anonymous=anonymous,
+            clock=self.clock,
+            idle_ttl=idle_ttl,
+            sweep_interval=sweep_interval,
+        )
+        self.model = ModelLimiter(default, anonymous, idle_ttl, sweep_interval)
         self.now = Fraction(self.clock.now)
         self.denied = None  # (key, anonymous, retry_after) of the last check
 
@@ -157,8 +204,14 @@ class RateLimiterModel(RuleBasedStateMachine):
         self.model.set_policy(key, policy)
         self.denied = None
 
+    @precondition(lambda self: self.limiter is not None)
+    @rule()
+    def sweep(self):
+        assert self.limiter.sweep() == self.model.sweep(self.now)
+        self.denied = None
+
     @invariant()
-    def tracks_every_checked_key(self):
+    def tracks_the_keys_the_model_keeps(self):
         if self.limiter is not None:
             assert self.limiter.tracked_keys() == len(self.model.buckets)
 
@@ -179,5 +232,19 @@ def test_quota_retry_after_covers_an_empty_bucket():
     clock.now += 1.0
     decision = limiter.check("ada")
     assert (decision.reason, decision.retry_after) == ("quota", 3.0)
+    clock.now += decision.retry_after
+    assert limiter.check("ada").allowed
+
+
+def test_the_sweep_keeps_a_spent_quota():
+    """A principal idle past ``idle_ttl`` but inside its quota window must
+    not get a fresh quota from the sweep."""
+    clock = Clock()
+    policy = RateLimitPolicy(rate=50.0, burst=10.0, quota=2)
+    limiter = RateLimiter(policy, clock=clock, sweep_interval=1)
+    assert [limiter.check("ada").allowed for _ in range(3)] == [True, True, False]
+    clock.now += 3600.0
+    decision = limiter.check("ada")
+    assert (decision.allowed, decision.reason) == (False, "quota")
     clock.now += decision.retry_after
     assert limiter.check("ada").allowed

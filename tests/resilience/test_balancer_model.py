@@ -12,7 +12,9 @@ change nothing when it finally answers: only calls sent since the
 ejection (the probe) judge the replica.  Every call is also checked
 against the failover ladder the statuses promise: a probation replica is
 probed first, live replicas come before cooling ones, cooling before
-ejected, and a call fails only after every replica failed.
+ejected, and a call fails only after every replica failed.  A probe is
+the only one: while a parked probe is in flight, its replica sits on the
+ladder with the ejected ones until that probe's outcome is booked.
 """
 
 import random
@@ -89,14 +91,21 @@ class ModelReplica:
         self.cooling_until = 0.0
         self.ejections = 0
         self.inflight = 0
+        self.probing = False  # a parked probe is in flight
 
     def status(self, now):
         if self.ejected:
             return "ejected" if now < self.ejected_until else "probation"
         return "cooling" if now < self.cooling_until else "live"
 
+    def rung(self, now):
+        """Where a call planned now puts the replica on its ladder."""
+        status = self.status(now)
+        return "ejected" if status == "probation" and self.probing else status
+
     def succeeded(self):
         """A success readmits the replica and clears failures and cooling."""
+        self.probing = False
         self.failures = 0
         self.ejected = False
         self.ejected_until = 0.0
@@ -105,6 +114,7 @@ class ModelReplica:
     def failed(self, now, retry_after):
         """A failure cools on a hint; a run of them, or a failed probe,
         ejects for one cooldown."""
+        self.probing = False
         self.failures += 1
         if retry_after is not None:
             self.cooling_until = max(self.cooling_until, now + retry_after)
@@ -176,7 +186,7 @@ class BalancerModel(RuleBasedStateMachine):
     @rule()
     def call(self):
         now = self.clock.now()
-        before = [replica.status(now) for replica in self.model]
+        before = [replica.rung(now) for replica in self.model]
         health = dict(self.broker.replica_health("Node"))
         del self.attempts[:]
         try:
@@ -215,6 +225,8 @@ class BalancerModel(RuleBasedStateMachine):
     def park_call(self):
         """Send a call that stops inside the first replica it reaches."""
         outcome = {}
+        now = self.clock.now()
+        probation = [r.rung(now) == "probation" for r in self.model]
 
         def run():
             try:
@@ -232,7 +244,21 @@ class BalancerModel(RuleBasedStateMachine):
         self.called = True
         index = self.parking.index
         self.model[index].inflight += 1
+        if any(probation):  # the call went to the probe first
+            assert probation[index]
+            self.model[index].probing = True
         self.parked = (thread, outcome, index, self.model[index].ejections)
+
+    @precondition(
+        lambda self: self.balancer is not None
+        and self.parked is None
+        and any(r.rung(self.clock.now()) == "probation" for r in self.model)
+    )
+    @rule()
+    def park_probe(self):
+        """Park a probation replica's one probe mid-call."""
+        self.park_call()
+        assert self.model[self.parked[2]].probing
 
     @precondition(lambda self: self.parked is not None)
     @rule(ok=st.booleans())
@@ -334,3 +360,27 @@ def test_late_success_of_a_call_sent_before_ejection_does_not_readmit():
     machine.states_match_model()
     parked = machine.endpoints[machine.parking.index].key
     assert machine.balancer.states()[parked]["status"] == "ejected"
+
+
+def test_a_second_call_during_probation_does_not_probe_again():
+    """Two concurrent calls while a replica is on probation: the first
+    probes it and parks there; the second must go elsewhere first."""
+    machine = BalancerModel()
+    machine.world(seed=0)
+    for index in range(REPLICAS):
+        machine.fail(index, None)
+    machine.call()
+    machine.call()  # every replica ejected
+    for index in range(REPLICAS):
+        machine.heal(index)
+    machine.advance(5.0)  # every ejection lapses: all on probation
+    machine.park_call()
+    probe = machine.parking.index
+    try:
+        machine.call()
+        heads = [probe, machine.attempts[0]]
+        assert heads[1] != heads[0], heads
+        machine.release_parked_call(True)
+        machine.states_match_model()
+    finally:
+        machine.teardown()
