@@ -29,7 +29,7 @@ from repro.gateway import (
 from repro.replication import publish_replicated
 from repro.security.access import AccessControl
 from repro.security.auth import PasswordVault, TokenIssuer
-from repro.transport.httpserver import HttpClient
+from repro.transport.client import HttpClient
 
 PASSWORD = "Demo-Horse-42"
 

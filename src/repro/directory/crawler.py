@@ -9,12 +9,16 @@ politeness budgets, a page cap, and dead-link accounting.  Any fetched
 XML page that parses as a contract document is harvested.
 
 Dependability (the §V "often offline or removed without notice"
-lesson applied to the crawler itself): dead fetches can be retried under
-a shared :class:`~repro.resilience.RetryBudget` (so a dying web does not
-multiply crawl cost), and domains that keep failing are quarantined
-through a leased :class:`~repro.resilience.Quarantine` — consistent with
-broker lease expiry, a quarantined host gets another chance only after
-its lease lapses.
+lesson applied to the crawler itself): each page is fetched through the
+one retry schedule of :mod:`repro.resilience.middleware`, compiled once
+per crawl, so dead fetches can be retried under a shared
+:class:`~repro.resilience.RetryBudget` (a dying web does not multiply
+crawl cost); and each domain is guarded by its own
+:class:`~repro.resilience.EndpointBreaker` from a
+:class:`~repro.resilience.CircuitBreakerRegistry`, so a host whose URLs
+keep coming back dead is skipped until its breaker lets one probe
+through.  ``HealthHandler.watch_breakers`` on that registry puts the
+quarantined domains on ``/healthz``.
 """
 
 from __future__ import annotations
@@ -26,10 +30,12 @@ from typing import Optional
 from urllib.parse import urljoin, urlsplit
 
 from ..core.contracts import ServiceContract
+from ..core.faults import ServiceUnavailable
 from ..observability.runtime import OBS
 from ..resilience.binding import PooledHttpClients
-from ..resilience.policy import RetryBudget
-from ..resilience.quarantine import Quarantine
+from ..resilience.breaker import CircuitBreakerRegistry
+from ..resilience.middleware import Invocation, build_chain
+from ..resilience.policy import ResiliencePolicy, RetryBudget, RetryPolicy
 from ..transport.wsdl import contract_from_xml
 from .webgraph import Page, WebGraph
 
@@ -102,7 +108,7 @@ class HttpFetcher:
     across the many pages of one provider — the crawler's dominant
     access pattern); dead links — connection failures, timeouts,
     non-200s — come back as ``None``, exactly like a missing page in
-    the synthetic graph, so retry budgets and domain quarantine apply
+    the synthetic graph, so retry budgets and domain breakers apply
     unchanged.  Links are harvested from ``href="..."`` attributes of
     fetched HTML; ``latency`` carries the measured wall-clock fetch
     cost.
@@ -160,16 +166,23 @@ class HttpFetcher:
         )
 
 
+class _DeadFetch(Exception):
+    """A fetch came back empty; the retry schedule may try again."""
+
+
 class ServiceCrawler:
     """Breadth-first crawler with per-domain budgets.
 
-    ``max_pages`` caps total fetches; ``per_domain_budget`` caps fetches
-    per host (politeness).  ``fetch_attempts`` > 1 retries dead fetches,
-    each retry drawing on ``retry_budget`` when one is supplied (a
-    crawler-wide cap on retry amplification).  With a ``quarantine``,
-    domains whose URLs keep coming back dead are skipped until their
-    quarantine lease lapses.  Deterministic: FIFO frontier, link order as
-    found, no randomness.
+    ``max_pages`` caps total fetches, retries included: a dead fetch
+    that reaches the cap is not retried.  ``per_domain_budget`` caps
+    URLs per host (politeness).  ``fetch_attempts`` > 1 retries dead
+    fetches, each retry drawing on ``retry_budget`` when one is supplied
+    (a crawler-wide cap on retry amplification).  With ``breakers``,
+    each domain's breaker sees one outcome per URL, after that URL's
+    retries: a domain whose URLs keep coming back dead is skipped while
+    its circuit is open, and after ``recovery_seconds`` one URL probes
+    it — a dead probe leases it out again at once.  Deterministic: FIFO
+    frontier, link order as found, no randomness.
     """
 
     def __init__(
@@ -180,7 +193,7 @@ class ServiceCrawler:
         per_domain_budget: Optional[int] = None,
         fetch_attempts: int = 1,
         retry_budget: Optional[RetryBudget] = None,
-        quarantine: Optional[Quarantine] = None,
+        breakers: Optional[CircuitBreakerRegistry] = None,
     ) -> None:
         if max_pages < 1:
             raise ValueError("max_pages must be >= 1")
@@ -191,28 +204,7 @@ class ServiceCrawler:
         self.per_domain_budget = per_domain_budget
         self.fetch_attempts = fetch_attempts
         self.retry_budget = retry_budget
-        self.quarantine = quarantine
-
-    def _fetch_with_retry(self, url: str, report: CrawlReport):
-        """Fetch ``url``, retrying dead results within attempts + budget."""
-        if self.retry_budget is not None:
-            self.retry_budget.record_attempt()
-        page = self.graph.fetch(url)
-        report.pages_fetched += 1
-        attempt = 1
-        while page is None and attempt < self.fetch_attempts:
-            if self.retry_budget is not None and not self.retry_budget.allow_retry():
-                report.retries_denied += 1
-                if OBS.enabled:
-                    OBS.instruments.crawler_fetches.inc(outcome="retry_denied")
-                break
-            report.retries += 1
-            if OBS.enabled:
-                OBS.instruments.crawler_fetches.inc(outcome="retry")
-            page = self.graph.fetch(url)
-            report.pages_fetched += 1
-            attempt += 1
-        return page
+        self.breakers = breakers
 
     def crawl(self, seeds: list[str]) -> CrawlReport:
         """Run one crawl from ``seeds``; returns the full accounting.
@@ -234,32 +226,67 @@ class ServiceCrawler:
 
     def _crawl(self, seeds: list[str]) -> CrawlReport:
         report = CrawlReport()
+        graph = self.graph
+        max_pages = self.max_pages
+
+        def fetch(invocation: Invocation) -> Optional[Page]:
+            if invocation.attempt:
+                report.retries += 1
+                if OBS.enabled:
+                    OBS.instruments.crawler_fetches.inc(outcome="retry")
+            page = graph.fetch(invocation.operation)
+            report.pages_fetched += 1
+            if page is None and report.pages_fetched < max_pages:
+                raise _DeadFetch(invocation.operation)
+            return page  # None: dead, and the page cap forbids a retry
+
+        fetch_with_retry = build_chain(
+            ResiliencePolicy(
+                retry=RetryPolicy(
+                    self.fetch_attempts, base_delay=0.0, retry_on=(_DeadFetch,)
+                ),
+                circuit=None,
+            ),
+            fetch,
+            budget=self.retry_budget,
+        )
         frontier: deque[str] = deque(seeds)
         queued = set(seeds)
         domain_counts: dict[str, int] = {}
-        while frontier and report.pages_fetched < self.max_pages:
+        while frontier and report.pages_fetched < max_pages:
             url = frontier.popleft()
             domain = _domain(url)
-            if self.quarantine is not None and self.quarantine.is_quarantined(domain):
-                report.skipped_by_quarantine += 1
-                if OBS.enabled:
-                    OBS.instruments.crawler_quarantine.inc(event="skipped")
-                continue
             if (
                 self.per_domain_budget is not None
                 and domain_counts.get(domain, 0) >= self.per_domain_budget
             ):
                 report.skipped_by_budget += 1
                 continue
+            breaker, probing = None, False
+            if self.breakers is not None:
+                breaker = self.breakers.breaker_for(domain)
+                try:
+                    probing = breaker.before_call()
+                except ServiceUnavailable:
+                    report.skipped_by_quarantine += 1
+                    if OBS.enabled:
+                        OBS.instruments.crawler_quarantine.inc(event="skipped")
+                    continue
             domain_counts[domain] = domain_counts.get(domain, 0) + 1
-            page = self._fetch_with_retry(url, report)
+            invocation = Invocation(url, {}, endpoint=domain)
+            try:
+                page = fetch_with_retry(invocation)
+            except _DeadFetch:
+                page = None
+                if invocation.attempt + 1 < self.fetch_attempts:
+                    report.retries_denied += 1  # the retry budget ran dry
+                    if OBS.enabled:
+                        OBS.instruments.crawler_fetches.inc(outcome="retry_denied")
             if page is None:
                 report.dead_links += 1
                 if OBS.enabled:
                     OBS.instruments.crawler_fetches.inc(outcome="dead")
-                if self.quarantine is not None and self.quarantine.report_failure(
-                    domain
-                ):
+                if breaker is not None and breaker.on_failure(probing):
                     report.quarantined_domains.add(domain)
                     if OBS.enabled:
                         OBS.instruments.crawler_quarantine.inc(
@@ -268,8 +295,8 @@ class ServiceCrawler:
                 continue
             if OBS.enabled:
                 OBS.instruments.crawler_fetches.inc(outcome="ok")
-            if self.quarantine is not None:
-                self.quarantine.report_success(domain)
+            if breaker is not None:
+                breaker.on_success(probing)
             report.visited.add(url)
             report.simulated_seconds += page.latency
             if page.content_type == "application/xml":

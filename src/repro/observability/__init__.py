@@ -15,7 +15,8 @@ crawler, web app):
   (:class:`~.runtime.Instruments`).
 * **exposition** (:mod:`.exposition`) — Prometheus-text ``/metrics``
   (and its parser, :func:`parse_prometheus`, the federation direction),
-  a ``/healthz`` summarising breaker states and quarantine leases, the
+  a ``/healthz`` summarising breaker states (endpoints and crawled
+  domains alike), the
   bounded in-memory :class:`SpanCollector`, and :func:`render_trace_tree`.
 
 The monitoring plane builds three more pillars on top:

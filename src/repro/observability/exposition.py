@@ -388,10 +388,9 @@ class HealthHandler:
     * :meth:`watch_breakers` — a
       :class:`~repro.resilience.breaker.CircuitBreakerRegistry` (or any
       object with ``states() -> dict[str, str]``); any endpoint not
-      ``closed`` degrades the verdict.
-    * :meth:`watch_quarantine` — a
-      :class:`~repro.resilience.quarantine.Quarantine` (anything with
-      ``active() -> list[str]``); active leases degrade the verdict.
+      ``closed`` degrades the verdict.  A crawler's per-domain
+      ``breakers`` plug in the same way: a quarantined domain is an
+      open breaker.
     * :meth:`add_check` — a named callable; falsy return or an exception
       degrades the verdict.
 
@@ -401,17 +400,12 @@ class HealthHandler:
 
     def __init__(self) -> None:
         self._breakers: list[tuple[str, Any]] = []
-        self._quarantines: list[tuple[str, Any]] = []
         self._checks: list[tuple[str, Callable[[], Any]]] = []
         self._pools: list[tuple[str, Any]] = []
 
     # -- registration ----------------------------------------------------
     def watch_breakers(self, registry: Any, name: str = "breakers") -> "HealthHandler":
         self._breakers.append((name, registry))
-        return self
-
-    def watch_quarantine(self, quarantine: Any, name: str = "quarantine") -> "HealthHandler":
-        self._quarantines.append((name, quarantine))
         return self
 
     def add_check(self, name: str, check: Callable[[], Any]) -> "HealthHandler":
@@ -441,12 +435,6 @@ class HealthHandler:
             breakers[name] = states
             if any(state != "closed" for state in states.values()):
                 healthy = False
-        quarantines: dict[str, list[str]] = {}
-        for name, quarantine in self._quarantines:
-            active = list(quarantine.active())
-            quarantines[name] = active
-            if active:
-                healthy = False
         checks: dict[str, str] = {}
         for name, check in self._checks:
             try:
@@ -467,8 +455,6 @@ class HealthHandler:
         document: dict[str, Any] = {"status": "ok" if healthy else "degraded"}
         if breakers:
             document["breakers"] = breakers
-        if quarantines:
-            document["quarantines"] = quarantines
         if checks:
             document["checks"] = checks
         if pools:

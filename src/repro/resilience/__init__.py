@@ -44,7 +44,6 @@ from .replica import (
     ReplicaBalancer,
     resilient_proxy_from_broker,
 )
-from .quarantine import Quarantine
 from .chaos import ChaosEvent, ChaosPlan, ManualClock
 
 __all__ = [
@@ -56,6 +55,5 @@ __all__ = [
     "broker_reporter", "invoker_for_endpoint", "PooledHttpClients",
     "resilient_proxy_from_broker", "FAILOVER_FAULTS",
     "EjectionPolicy", "HedgePolicy", "ReplicaBalancer",
-    "Quarantine",
     "ManualClock", "ChaosEvent", "ChaosPlan",
 ]

@@ -288,9 +288,10 @@ def _retry_middleware(
         delay = base_delay
         for attempt in range(1, attempts):
             if budget is not None and not budget.allow_retry():
+                stopped = "budget"
                 break
             wait = delay
-            if jitter:
+            if jitter and delay:
                 wait += delay * jitter * (2.0 * rng.random() - 1.0)
                 wait = max(wait, 0.0)
             retry_after = getattr(last, "retry_after", None)
@@ -300,7 +301,8 @@ def _retry_middleware(
                 invocation.deadline is not None
                 and clock() + wait >= invocation.deadline
             ):
-                break  # no time left to wait *and* attempt again
+                stopped = "deadline"  # no time left to wait *and* attempt again
+                break
             if wait > 0:
                 sleep(wait)
             delay = min(delay * factor, max_delay)
@@ -315,6 +317,15 @@ def _retry_middleware(
                 return handler(invocation)
             except retry_on as exc:
                 last = exc
+        else:
+            raise last  # attempts exhausted
+        _note(
+            "retry_stopped",
+            reason=stopped,
+            operation=invocation.operation,
+            attempt=attempt,
+            endpoint=invocation.endpoint,
+        )
         raise last
 
     return run

@@ -3,8 +3,9 @@
 Educational ciphers and key agreement, salted password storage with the
 Figure 4 strength/match policy, bearer tokens, RBAC access control, and
 the client-side reliability patterns (retry, timeout, checkpointing,
-fault injection).  The circuit breaker and replica failover live in
-:mod:`repro.resilience`.
+fault injection).  :func:`with_retry` is built on the one retry
+schedule in :mod:`repro.resilience`, where the circuit breaker and
+replica failover live too.
 """
 
 from .crypto import (

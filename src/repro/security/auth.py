@@ -267,16 +267,22 @@ class TokenIssuer:
 
     def revoke_all(self, principal: str) -> int:
         """Revoke every live token of ``principal`` (the logout-everywhere
-        path); returns how many tokens were revoked."""
+        path); returns how many tokens were revoked.
+
+        Expired tokens not yet swept are dropped too, but not counted:
+        they were no longer sessions to revoke.
+        """
         with self._lock:
+            now = self._clock()
             mine = [
                 token
                 for token, record in self._tokens.items()
                 if record.principal == principal
             ]
+            live = 0
             for token in mine:
-                del self._tokens[token]
-            return len(mine)
+                live += self._tokens.pop(token).expires >= now
+            return live
 
     def active_count(self) -> int:
         with self._lock:

@@ -6,26 +6,32 @@ Unit 6 teaches the client-side defenses.  Each pattern here wraps an
 invokable (``callable(**kwargs) -> value``) and composes with the others:
 
 * :func:`with_retry` — bounded retries with (deterministic) backoff
-* :func:`with_timeout` — deadline enforcement on a worker thread
+* :func:`with_timeout` — preemptive deadline on a worker thread
 * :class:`Checkpointer` — save/restore long-running computation state
 * :class:`FaultInjector` — deterministic fault injection for testing
 
-The circuit breaker and replica failover are infrastructure, and each
-has exactly one implementation in :mod:`repro.resilience`:
+The retry schedule, the circuit breaker and replica failover each have
+exactly one implementation in :mod:`repro.resilience`: :func:`with_retry`
+is built on the retry middleware behind
+:class:`~repro.resilience.middleware.ResilientInvoker`;
 :class:`~repro.resilience.breaker.EndpointBreaker` (``breaker(fn)`` runs
 a zero-argument callable under the closed → open → half-open automaton)
-and :class:`~repro.resilience.replica.ReplicaBalancer` (health-gated
-selection with in-call failover across a service's replicas).
+guards endpoints and crawled domains alike; and
+:class:`~repro.resilience.replica.ReplicaBalancer` does health-gated
+selection with in-call failover across a service's replicas.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import threading
 import time
 from typing import Any, Callable, Optional, Sequence
 
 from ..core.faults import ServiceFault, TimeoutFault
+from ..resilience.middleware import ResilientInvoker
+from ..resilience.policy import ResiliencePolicy, RetryPolicy
 
 __all__ = [
     "with_retry",
@@ -50,45 +56,41 @@ def with_retry(
 ) -> Invokable:
     """Retry on listed exception types; re-raise the last failure.
 
-    ``jitter`` randomizes each backoff delay by +/- that fraction through
-    ``rng`` (an injectable :class:`random.Random`; defaults to a fixed
-    seed, so retries are deterministic unless you supply entropy) —
-    de-synchronizing retry storms across clients.  A ``retry_after``
-    hint on the failure (set by :class:`~repro.core.faults.ServiceUnavailable`
-    and populated from HTTP 503 ``Retry-After`` headers by the wire
-    bindings) raises the wait to at least that long, even when no backoff
-    was configured.
+    Built on the one retry schedule: a
+    :class:`~repro.resilience.middleware.ResilientInvoker` whose policy
+    has only a :class:`~repro.resilience.policy.RetryPolicy` (no delay
+    cap, no circuit).  ``jitter`` randomizes each backoff delay by +/-
+    that fraction through ``rng`` (an injectable :class:`random.Random`;
+    defaults to a fixed seed, so retries are deterministic unless you
+    supply entropy) — de-synchronizing retry storms across clients.  A
+    ``retry_after`` hint on the failure (set by
+    :class:`~repro.core.faults.ServiceUnavailable` and populated from
+    HTTP 503 ``Retry-After`` headers by the wire bindings) raises the
+    wait to at least that long, even when no backoff was configured.
     """
-    if attempts < 1:
-        raise ValueError("attempts must be >= 1")
-    if not 0.0 <= jitter <= 1.0:
-        raise ValueError("jitter must be in [0, 1]")
-    if rng is None:
-        rng = random.Random(0)
+    policy = ResiliencePolicy(
+        retry=RetryPolicy(
+            attempts,
+            base_delay=backoff_seconds,
+            factor=backoff_factor,
+            max_delay=math.inf,
+            jitter=jitter,
+            retry_on=retry_on,
+        ),
+        circuit=None,
+    )
+    name = getattr(fn, "__name__", "fn")
+    invoker = ResilientInvoker(
+        lambda _operation, arguments: fn(**arguments),
+        policy,
+        sleep=sleep,
+        rng=rng,
+    )
 
     def wrapped(**kwargs: Any) -> Any:
-        delay = backoff_seconds
-        last: Optional[Exception] = None
-        for attempt in range(attempts):
-            try:
-                return fn(**kwargs)
-            except retry_on as exc:
-                last = exc
-                if attempt + 1 < attempts:
-                    wait = delay
-                    if jitter and wait > 0:
-                        wait += wait * jitter * (2.0 * rng.random() - 1.0)
-                        wait = max(wait, 0.0)
-                    retry_after = getattr(exc, "retry_after", None)
-                    if retry_after is not None:
-                        wait = max(wait, float(retry_after))
-                    if wait > 0:
-                        sleep(wait)
-                    delay *= backoff_factor
-        assert last is not None
-        raise last
+        return invoker(name, kwargs)
 
-    wrapped.__name__ = f"retry({getattr(fn, '__name__', 'fn')})"
+    wrapped.__name__ = f"retry({name})"
     return wrapped
 
 
@@ -97,6 +99,12 @@ def with_timeout(fn: Invokable, *, seconds: float) -> Invokable:
 
     (The worker is abandoned, not killed — the standard caveat the course
     discusses about cooperative cancellation.)
+
+    This is the only *preemptive* bound, so it stays beside the
+    resilience chain's ``deadline_seconds``: that deadline is
+    cooperative — checked before and after each attempt — and cannot
+    stop a call that hangs, while this one returns on time and leaves
+    the hung call behind.  Neither can express the other.
     """
     if seconds <= 0:
         raise ValueError("timeout must be positive")

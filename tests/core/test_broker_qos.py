@@ -11,7 +11,7 @@ import threading
 import pytest
 
 from repro.core import Endpoint, Service, ServiceBroker, operation
-from repro.resilience import Quarantine
+from repro.resilience import CircuitBreakerRegistry, CircuitPolicy
 
 
 class Echo(Service):
@@ -270,25 +270,32 @@ class TestLeasesAndQuarantineUnderConcurrency:
         assert "Echo" not in broker
 
     def test_quarantine_mirrors_lease_semantics(self):
-        """Quarantine leases expire the way broker leases do."""
+        """A host's quarantine (its open breaker) lapses the way a broker
+        lease does: at exactly ``recovery_seconds``, into one probe."""
         clock = {"t": 0.0}
-        quarantine = Quarantine(
-            threshold=1, lease_seconds=10.0, clock=lambda: clock["t"]
+        breakers = CircuitBreakerRegistry(
+            CircuitPolicy(failure_threshold=1, recovery_seconds=10.0),
+            clock=lambda: clock["t"],
         )
-        quarantine.report_failure("host")
-        assert quarantine.is_quarantined("host")
-        assert quarantine.active() == ["host"]
+        breaker = breakers.breaker_for("host")
+        assert breaker.on_failure(probing=False) is True
+        assert breakers.states() == {"host": "open"}
         clock["t"] = 9.9
-        assert quarantine.is_quarantined("host")
+        assert breakers.states() == {"host": "open"}
         clock["t"] = 10.0
-        assert not quarantine.is_quarantined("host")
-        assert len(quarantine) == 0
+        assert breakers.states() == {"host": "half-open"}
+        assert breaker.before_call() is True  # the single probe
 
     def test_quarantine_threadsafe_counting(self):
-        quarantine = Quarantine(threshold=100, lease_seconds=60.0)
+        breaker = CircuitBreakerRegistry(
+            CircuitPolicy(failure_threshold=100, recovery_seconds=60.0)
+        ).breaker_for("h")
+        trips = []
         threads = [
             threading.Thread(
-                target=lambda: [quarantine.report_failure("h") for _ in range(10)]
+                target=lambda: trips.extend(
+                    breaker.on_failure(probing=False) for _ in range(10)
+                )
             )
             for _ in range(10)
         ]
@@ -297,4 +304,5 @@ class TestLeasesAndQuarantineUnderConcurrency:
         for thread in threads:
             thread.join()
         # exactly 100 failures: the threshold fired exactly once
-        assert quarantine.is_quarantined("h")
+        assert trips.count(True) == 1
+        assert breaker.state == "open"

@@ -313,6 +313,20 @@ class TestCrawlerRetry:
         assert report.retries_denied == 1
         assert report.dead_links == 3
 
+    def test_retries_stop_at_the_page_cap(self):
+        report = ServiceCrawler(
+            WebGraph(), max_pages=1, fetch_attempts=3
+        ).crawl(["http://dead/x"])
+        assert report.pages_fetched == 1
+        assert report.retries == 0
+        assert report.dead_links == 1
+        report = ServiceCrawler(
+            WebGraph(), max_pages=2, fetch_attempts=3
+        ).crawl(["http://dead/x", "http://dead/y"])
+        assert report.pages_fetched == 2  # one retry of x, y never fetched
+        assert report.retries == 1
+        assert report.dead_links == 1
+
     def test_fetch_attempts_validation(self):
         with pytest.raises(ValueError):
             ServiceCrawler(WebGraph(), fetch_attempts=0)
@@ -338,44 +352,90 @@ class TestCrawlerQuarantine:
         graph.add(Page("http://good/svc", "y"))
         return graph
 
-    def test_dead_domain_quarantined(self):
-        from repro.resilience import Quarantine
+    def make_breakers(self, failure_threshold):
+        from repro.resilience import CircuitBreakerRegistry, CircuitPolicy
 
-        clock = {"t": 0.0}
-        quarantine = Quarantine(
-            threshold=2, lease_seconds=60.0, clock=lambda: clock["t"]
+        self.clock = {"t": 0.0}
+        return CircuitBreakerRegistry(
+            CircuitPolicy(failure_threshold=failure_threshold, recovery_seconds=60.0),
+            clock=lambda: self.clock["t"],
         )
+
+    def test_dead_domain_quarantined(self):
+        breakers = self.make_breakers(2)
         graph = self.make_graph()
-        report = ServiceCrawler(graph, quarantine=quarantine).crawl(["http://hub/i"])
+        report = ServiceCrawler(graph, breakers=breakers).crawl(["http://hub/i"])
         assert report.quarantined_domains == {"bad"}
         assert report.dead_links == 2  # third bad URL never fetched
         assert report.skipped_by_quarantine == 1
         assert "http://good/svc" in report.visited
+        assert breakers.states() == {
+            "hub": "closed", "bad": "open", "good": "closed"
+        }
 
     def test_lease_expiry_gives_domain_another_chance(self):
-        from repro.resilience import Quarantine
-
-        clock = {"t": 0.0}
-        quarantine = Quarantine(
-            threshold=1, lease_seconds=60.0, clock=lambda: clock["t"]
-        )
-        assert quarantine.report_failure("bad") is True
-        assert quarantine.is_quarantined("bad")
-        clock["t"] = 61.0
-        assert not quarantine.is_quarantined("bad")
-        # ...and the crawler would fetch it again now.
+        breakers = self.make_breakers(1)
+        breaker = breakers.breaker_for("bad")
+        assert breaker.on_failure(probing=False) is True
+        assert breaker.state == "open"
+        self.clock["t"] = 61.0
+        assert breaker.state == "half-open"
+        # ...and the crawler fetches it again now, as the single probe.
         graph = WebGraph()
         graph.add(Page("http://bad/svc", "alive again"))
-        report = ServiceCrawler(graph, quarantine=quarantine).crawl(
+        report = ServiceCrawler(graph, breakers=breakers).crawl(
             ["http://bad/svc"]
         )
         assert "http://bad/svc" in report.visited
+        assert breaker.state == "closed"
 
     def test_success_clears_failure_streak(self):
-        from repro.resilience import Quarantine
+        breakers = self.make_breakers(2)
+        graph = WebGraph()
+        graph.add(Page("http://d/ok", "alive"))
+        report = ServiceCrawler(graph, breakers=breakers).crawl(
+            ["http://d/1", "http://d/ok", "http://d/2"]
+        )
+        assert report.dead_links == 2
+        assert report.quarantined_domains == set()  # streak was broken
+        assert breakers.states() == {"d": "closed"}
 
-        quarantine = Quarantine(threshold=2, lease_seconds=60.0)
-        quarantine.report_failure("d")
-        quarantine.report_success("d")
-        quarantine.report_failure("d")
-        assert not quarantine.is_quarantined("d")  # streak was broken
+    def test_failed_probe_leases_domain_out_again_at_once(self):
+        """One dead probe re-opens the domain: no second streak of
+        ``failure_threshold`` failures is needed after the lapse."""
+        breakers = self.make_breakers(2)
+        crawler = ServiceCrawler(WebGraph(), breakers=breakers)
+        first = crawler.crawl(["http://bad/1", "http://bad/2"])
+        assert first.quarantined_domains == {"bad"}
+        self.clock["t"] = 61.0
+        second = crawler.crawl(["http://bad/3", "http://bad/4", "http://bad/5"])
+        assert second.dead_links == 1  # the probe, bad/3
+        assert second.quarantined_domains == {"bad"}
+        assert second.skipped_by_quarantine == 2
+        assert breakers.states() == {"bad": "open"}
+
+    def test_healthz_follows_domain_breakers(self):
+        import json
+
+        from repro.observability import HealthHandler
+
+        breakers = self.make_breakers(1)
+        health = HealthHandler().watch_breakers(breakers, name="crawler")
+
+        def healthz():
+            response = serve_once(health, HttpRequest("GET", "/healthz"))
+            return response.status, json.loads(response.text())
+
+        graph = WebGraph()
+        crawler = ServiceCrawler(graph, breakers=breakers)
+        crawler.crawl(["http://bad/1"])
+        status, document = healthz()
+        assert status == 503
+        assert document["breakers"]["crawler"] == {"bad": "open"}
+        self.clock["t"] = 61.0
+        assert healthz()[0] == 503  # half-open until a probe succeeds
+        graph.add(Page("http://bad/2", "back"))
+        crawler.crawl(["http://bad/2"])
+        status, document = healthz()
+        assert status == 200
+        assert document["breakers"]["crawler"] == {"bad": "closed"}

@@ -29,7 +29,7 @@ from repro.replication.publish import publish_replicated
 from repro.security.access import AccessControl
 from repro.security.auth import PasswordVault, TokenIssuer
 from repro.services import CacheService
-from repro.transport.httpserver import HttpClient
+from repro.transport.client import HttpClient
 from repro.transport.rest import RestClient
 from repro.xmlkit import loads
 

@@ -107,14 +107,6 @@ class _FakeBreakers:
         return dict(self._states)
 
 
-class _FakeQuarantine:
-    def __init__(self, active):
-        self._active = list(active)
-
-    def active(self):
-        return list(self._active)
-
-
 class TestHealthHandler:
     def _get(self, handler):
         response = serve_once(handler, HttpRequest("GET", "/healthz"))
@@ -135,10 +127,20 @@ class TestHealthHandler:
         assert document["breakers"]["breakers"]["soap:Quote"] == "open"
 
     def test_quarantine_lease_degrades(self):
-        handler = HealthHandler().watch_quarantine(_FakeQuarantine(["bad.example"]))
+        """A crawler's quarantined domain is an open breaker on /healthz."""
+        from repro.directory import ServiceCrawler
+        from repro.directory.webgraph import WebGraph
+        from repro.resilience import CircuitBreakerRegistry, CircuitPolicy
+
+        breakers = CircuitBreakerRegistry(CircuitPolicy(failure_threshold=1))
+        handler = HealthHandler().watch_breakers(breakers, name="crawler")
+        ServiceCrawler(WebGraph(), breakers=breakers).crawl(
+            ["http://bad.example/gone"]
+        )
         status, document = self._get(handler)
         assert status == 503
-        assert document["quarantines"]["quarantine"] == ["bad.example"]
+        assert document["breakers"]["crawler"] == {"bad.example": "open"}
+        assert "quarantines" not in document
 
     def test_custom_checks(self):
         handler = (
@@ -160,7 +162,7 @@ class TestHealthHandler:
         assert document["checks"]["exploding"].startswith("error:")
 
     def test_real_breaker_registry_and_quarantine_plug_in(self):
-        from repro.resilience import CircuitBreakerRegistry, CircuitPolicy, Quarantine
+        from repro.resilience import CircuitBreakerRegistry, CircuitPolicy
 
         breakers = CircuitBreakerRegistry(CircuitPolicy(failure_threshold=1))
         breaker = breakers.breaker_for("inproc://quote")
@@ -169,9 +171,12 @@ class TestHealthHandler:
         breaker.on_failure(probing=False)  # trips at threshold 1
         assert self._get(handler)[0] == 503
 
-        quarantine = Quarantine(lease_seconds=30)
-        q_handler = HealthHandler().watch_quarantine(quarantine)
-        assert self._get(q_handler)[0] == 200
+        quarantine = CircuitBreakerRegistry(CircuitPolicy(recovery_seconds=30))
+        q_handler = HealthHandler().watch_breakers(quarantine, name="quarantine")
+        assert self._get(q_handler) == (
+            200,
+            {"status": "ok", "breakers": {"quarantine": {}}},
+        )
 
     def test_rejects_non_get(self):
         response = serve_once(HealthHandler(), HttpRequest("POST", "/healthz"))

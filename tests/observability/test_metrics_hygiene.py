@@ -12,7 +12,7 @@ import pytest
 from repro.core.broker import ServiceBroker
 from repro.gateway import Gateway
 from repro.observability import observed
-from repro.transport.httpserver import HttpClient
+from repro.transport.client import HttpClient
 
 pytestmark = pytest.mark.obs
 

@@ -31,8 +31,9 @@ from repro.observability import (
 from repro.observability import trace as trace_module
 from repro.observability.profiling import IDLE_KEY, OVERFLOW_KEY
 from repro.observability.runtime import OBS
+from repro.transport.client import HttpClient
 from repro.transport.http11 import HttpRequest
-from repro.transport.httpserver import HttpClient, HttpServer, serve_once
+from repro.transport.httpserver import HttpServer, serve_once
 from repro.web.app import compose_handlers
 
 pytestmark = pytest.mark.obs

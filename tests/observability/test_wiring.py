@@ -19,6 +19,7 @@ from repro.resilience import (
     ManualClock,
     ResiliencePolicy,
     ResilientInvoker,
+    RetryBudget,
     RetryPolicy,
 )
 
@@ -102,6 +103,56 @@ class TestResilienceEventWiring:
         (span,) = collector.named("resilience.call")
         assert [e.name for e in span.events] == ["retry", "retry"]
         assert span.attributes["attempts"] == 3
+
+    def test_stopped_retries_say_why(self):
+        clock = ManualClock()
+        starved = ResilientInvoker(
+            _failing_then_ok(100),
+            ResiliencePolicy(
+                retry=RetryPolicy(attempts=3, base_delay=0.0), circuit=None
+            ),
+            clock=clock,
+            sleep=clock.sleep,
+            budget=RetryBudget(ratio=0.1, burst=1.0),  # one retry, then dry
+        )
+        hurried = ResilientInvoker(
+            _failing_then_ok(100),
+            ResiliencePolicy(
+                deadline_seconds=1.0,
+                retry=RetryPolicy(attempts=3, base_delay=5.0),
+                circuit=None,
+            ),
+            clock=clock,
+            sleep=clock.sleep,
+        )
+        exhausted = ResilientInvoker(
+            _failing_then_ok(100),
+            ResiliencePolicy(
+                retry=RetryPolicy(attempts=2, base_delay=0.0), circuit=None
+            ),
+            clock=clock,
+            sleep=clock.sleep,
+        )
+        collector = SpanCollector()
+        with observed(collector) as obs:
+            for invoker in (starved, hurried, exhausted):
+                with pytest.raises(ServiceUnavailable):
+                    invoker("op", {})
+            events = obs.instruments.resilience_events
+            assert events.value(event="retry_stopped") == 2
+            assert events.value(event="retry") == 2
+        starved_span, hurried_span, exhausted_span = collector.named(
+            "resilience.call"
+        )
+        assert [
+            (e.name, e.attributes.get("reason")) for e in starved_span.events
+        ] == [("retry", None), ("retry_stopped", "budget")]
+        (stopped,) = hurried_span.events
+        assert stopped.name == "retry_stopped"
+        assert stopped.attributes["reason"] == "deadline"
+        assert stopped.attributes["attempt"] == 1
+        # Running out of attempts is the schedule ending, not a stop.
+        assert [e.name for e in exhausted_span.events] == ["retry"]
 
     def test_breaker_open_and_fast_fail_events(self):
         clock = ManualClock()
@@ -243,11 +294,18 @@ class TestCrawlerWiring:
         assert span.attributes["dead_links"] == 1
 
     def test_quarantine_events_counted(self):
-        from repro.resilience import ManualClock, Quarantine
+        from repro.resilience import (
+            CircuitBreakerRegistry,
+            CircuitPolicy,
+            ManualClock,
+        )
 
         clock = ManualClock()
         crawler = self._crawler(
-            quarantine=Quarantine(threshold=1, lease_seconds=60, clock=clock)
+            breakers=CircuitBreakerRegistry(
+                CircuitPolicy(failure_threshold=1, recovery_seconds=60),
+                clock=clock,
+            )
         )
         with observed() as obs:
             crawler.crawl(["http://a.example/dead"])

@@ -15,7 +15,6 @@ from repro.resilience import (
     EndpointBreaker,
     FallbackPolicy,
     ManualClock,
-    Quarantine,
     ResiliencePolicy,
     ResilientInvoker,
     RetryBudget,
@@ -381,30 +380,6 @@ class TestChaosPlan:
         assert plan.remaining() == 5
 
 
-class TestQuarantine:
-    def test_threshold_then_lease_expiry(self):
-        clock = ManualClock()
-        quarantine = Quarantine(threshold=2, lease_seconds=60, clock=clock)
-        assert quarantine.report_failure("acme.example") is False
-        assert quarantine.report_failure("acme.example") is True
-        assert quarantine.is_quarantined("acme.example")
-        assert quarantine.active() == ["acme.example"]
-        clock.advance(61)  # the lease lapses, like a broker lease
-        assert not quarantine.is_quarantined("acme.example")
-        assert len(quarantine) == 0
-
-    def test_success_clears_streak_and_quarantine(self):
-        clock = ManualClock()
-        quarantine = Quarantine(threshold=2, lease_seconds=60, clock=clock)
-        quarantine.report_failure("host")
-        quarantine.report_success("host")
-        assert quarantine.report_failure("host") is False  # streak restarted
-        quarantine.report_failure("host")
-        assert quarantine.is_quarantined("host")
-        quarantine.report_success("host")  # explicit recovery signal
-        assert not quarantine.is_quarantined("host")
-
-
 class TestPolicyValidation:
     def test_rejects_nonsense_configuration(self):
         with pytest.raises(ValueError):
@@ -419,8 +394,6 @@ class TestPolicyValidation:
             ResiliencePolicy(deadline_seconds=0)
         with pytest.raises(ValueError):
             RetryBudget(ratio=0)
-        with pytest.raises(ValueError):
-            Quarantine(threshold=0)
 
     def test_unprotected_policy_is_a_passthrough(self):
         invoker = make_invoker(lambda **kw: "plain", ResiliencePolicy.unprotected())

@@ -5,7 +5,9 @@ gateway.
    only when that exact token was re-presented to ``authenticate``, so
    high-churn issuance (a gateway minting short-lived tokens) grew the
    map without bound.  Fixed with an amortized sweep on issue and on
-   ``active_count``; ``revoke_all`` covers logout-everywhere.
+   ``active_count``; ``revoke_all`` covers logout-everywhere, and
+   counts only the live tokens it revoked (it used to count expired,
+   unswept ones too, and the gateway reported that number).
 
 2. ``PasswordVault.login`` ran the PBKDF2 verification while holding
    the vault-wide lock — every concurrent login in the process was
@@ -92,6 +94,27 @@ class TestTokenIssuerLeak:
             with pytest.raises(AuthError):
                 issuer.authenticate(token)
         assert issuer.authenticate(bob)[0] == "bob"
+
+    def test_revoke_all_counts_live_tokens_only(self):
+        """``/auth/logout?everywhere`` reports this count: expired tokens
+        the sweep has not reached yet were not sessions to revoke."""
+        clock = FakeClock()
+        issuer = TokenIssuer(ttl_seconds=10.0, clock=clock, sweep_interval=1000)
+        stale = [issuer.issue("alice") for _ in range(2)]
+        clock.advance(11.0)
+        live = issuer.issue("alice")
+        assert issuer.revoke_all("alice") == 1
+        for token in [*stale, live]:
+            with pytest.raises(AuthError, match="unknown token"):
+                issuer.authenticate(token)
+        assert len(issuer._tokens) == 0
+
+    def test_revoke_all_counts_a_token_at_its_expiry_instant(self):
+        clock = FakeClock()
+        issuer = TokenIssuer(ttl_seconds=10.0, clock=clock)
+        issuer.issue("alice")
+        clock.advance(10.0)  # still valid at exactly its expiry
+        assert issuer.revoke_all("alice") == 1
 
     def test_revoke_all_of_unknown_principal_is_zero(self):
         assert TokenIssuer().revoke_all("nobody") == 0
