@@ -82,7 +82,6 @@ from .runtime import (
     Instruments,
     Observability,
     observed,
-    server_span,
 )
 from .exposition import (
     HealthHandler,
@@ -141,7 +140,7 @@ __all__ = [
     "MetricFamily", "MetricsError", "LATENCY_BUCKETS",
     # runtime
     "OBS", "Observability", "Instruments", "BusDispatchMetrics",
-    "observed", "server_span",
+    "observed",
     # exposition
     "render_prometheus", "parse_prometheus", "metrics_handler",
     "HealthHandler", "observability_routes", "debug_routes",

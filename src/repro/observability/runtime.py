@@ -32,7 +32,7 @@ from .metrics import (
     MetricFamily,
     MetricsRegistry,
 )
-from .trace import NOOP_SPAN, TraceContext, Tracer
+from .trace import Tracer
 
 __all__ = [
     "BusDispatchMetrics",
@@ -40,7 +40,6 @@ __all__ = [
     "Observability",
     "OBS",
     "observed",
-    "server_span",
 ]
 
 #: Buckets used by the bus dispatch histogram — bus calls are
@@ -460,25 +459,3 @@ def observed(
     finally:
         OBS.enabled, OBS.tracer, OBS.registry, OBS.instruments = saved
 
-
-def server_span(name: str, *, header: Optional[str] = None, **attributes: Any):
-    """Open a server-kind span parented on the active or remote context.
-
-    The one-liner endpoints use: prefers the context already active on
-    this thread (e.g. the enclosing ``http.server`` span), falls back to
-    a ``traceparent`` header carried in band (SOAP header block, HTTP
-    header), and degrades to :data:`NOOP_SPAN` whenever tracing is off.
-    """
-    if not OBS.enabled:
-        return NOOP_SPAN
-    tracer = OBS.tracer
-    if not tracer.sampling:
-        return NOOP_SPAN
-    parent = tracer.current()
-    if parent is None and header:
-        parent = TraceContext.parse(header)
-        if parent is not None:
-            # The parent span lives on another node: this span is the
-            # *local root* of the trace — the tail sampler's flush point.
-            attributes["trace.remote_parent"] = True
-    return tracer.span(name, kind="server", parent=parent, attributes=attributes)

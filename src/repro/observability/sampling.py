@@ -102,7 +102,7 @@ class TailSampler:
     A trace is flushed when its *local root* finishes: a span with no
     parent, or a server span whose parent is remote (the
     ``trace.remote_parent`` attribute set by
-    :func:`~repro.observability.runtime.server_span`).  Buffers are
+    :class:`~repro.transport.httpserver.HttpServer`).  Buffers are
     bounded twice over — ``max_traces`` in flight and
     ``max_spans_per_trace`` each; breaching either force-flushes or
     truncates with a counted drop, so a span leak upstream cannot become

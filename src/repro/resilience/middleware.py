@@ -88,9 +88,9 @@ def _note(event: str, **attributes: Any) -> None:
     """Report one policy deviation to the active span and the metrics.
 
     Sits on fault/slow paths only, so a disabled subsystem costs one
-    branch; enabled, the event lands on whatever span is active (e.g.
-    the enclosing ``resilience.call``) and bumps
-    ``repro_resilience_events_total``.
+    branch; enabled, the event lands on whatever span is active (the
+    enclosing ``resilience.call`` of a policy that can emit one) and
+    bumps ``repro_resilience_events_total``.
     """
     if not OBS.enabled:
         return
@@ -287,9 +287,6 @@ def _retry_middleware(
             last: Exception = exc
         delay = base_delay
         for attempt in range(1, attempts):
-            if budget is not None and not budget.allow_retry():
-                stopped = "budget"
-                break
             wait = delay
             if jitter and delay:
                 wait += delay * jitter * (2.0 * rng.random() - 1.0)
@@ -302,6 +299,10 @@ def _retry_middleware(
                 and clock() + wait >= invocation.deadline
             ):
                 stopped = "deadline"  # no time left to wait *and* attempt again
+                break
+            # after the deadline check: a retry it stops spends no token
+            if budget is not None and not budget.allow_retry():
+                stopped = "budget"
                 break
             if wait > 0:
                 sleep(wait)
@@ -399,6 +400,8 @@ class ResilientInvoker:
         self.raw_invoker = invoker
         self._clock = clock
         self._deadline_seconds = self.policy.deadline_seconds
+        # unprotected: no stage retries or notes events; no span to open
+        self._traced = self.policy != ResiliencePolicy.unprotected()
 
         def terminal(invocation: Invocation) -> Any:
             return invoker(invocation.operation, invocation.arguments)
@@ -422,12 +425,13 @@ class ResilientInvoker:
         inside one ``resilience.call`` span: each attempt's inner span
         (bus dispatch, SOAP/REST client call) becomes a *sibling* child,
         and policy deviations land on it as events — a retry storm reads
-        directly off the trace tree.
+        directly off the trace tree.  An unprotected policy (a bare
+        balancer's default) opens none: its one attempt is the call.
         """
         invocation = Invocation(operation, arguments, endpoint=self.endpoint)
         if self._deadline_seconds is not None:
             invocation.deadline = self._clock() + self._deadline_seconds
-        if not OBS.enabled or not OBS.tracer.sampling:
+        if not self._traced or not OBS.enabled or not OBS.tracer.sampling:
             return self._chain(invocation)
         with OBS.tracer.span(
             "resilience.call",

@@ -1,9 +1,10 @@
-"""The client half of the binding core: one call path for SOAP and REST.
+"""The binding core: one call path and one dispatch for SOAP and REST.
 
 :class:`BindingClient` holds what the two HTTP dialects share; a dialect
 subclass adds only its name, where its contract document lives, and
 ``_exchange``, the raw round-trip that encodes a call and decodes the
-answer.  :func:`binding_proxy` turns any such client into a typed proxy.
+answer.  :func:`binding_proxy` turns any such client into a typed proxy,
+and :func:`dispatch` is the endpoints' one step into a host.
 """
 
 from __future__ import annotations
@@ -11,14 +12,16 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from ..core.contracts import ServiceContract
-from ..core.faults import TransportError
+from ..core.faults import ServiceFault, TransportError
 from ..core.proxy import ServiceProxy, make_proxy
+from ..core.service import InvocationContext, ServiceHost
 from ..observability.runtime import OBS
+from ..observability.trace import current_span
 from .client import HttpClient
 from .statusmap import raise_transport_status
 from .wsdl import contract_from_xml
 
-__all__ = ["BindingClient", "binding_proxy"]
+__all__ = ["BindingClient", "binding_proxy", "dispatch"]
 
 
 class BindingClient:
@@ -75,7 +78,7 @@ class BindingClient:
             # traceparent rides the HTTP headers: HttpClient injects it
             # from the span this block just activated.
             try:
-                result = self._exchange(operation, arguments, span)
+                result = self._exchange(operation, arguments)
             except Exception as exc:
                 span.record_exception(exc)
                 OBS.instruments.client_calls.inc(binding=self.binding, outcome="fault")
@@ -83,10 +86,29 @@ class BindingClient:
             OBS.instruments.client_calls.inc(binding=self.binding, outcome="ok")
             return result
 
-    def _exchange(self, operation: str, arguments: dict[str, Any], span: Any = None) -> Any:
-        """One raw round-trip (no telemetry); ``span`` is the client span
-        when the call is traced."""
+    def _exchange(self, operation: str, arguments: dict[str, Any]) -> Any:
+        """One raw round-trip (no telemetry)."""
         raise NotImplementedError
+
+
+def dispatch(
+    host: ServiceHost,
+    binding: str,
+    operation: str,
+    arguments: dict[str, Any],
+    context: InvocationContext,
+) -> Any:
+    """Invoke one decoded SOAP or REST call on ``host``, naming it on the
+    active (``http.server``) span, which a ServiceFault marks failed."""
+    span = current_span() if OBS.enabled else None
+    if span is not None:
+        span.attributes.update(binding=binding, operation=operation, service=host.name)
+    try:
+        return host.invoke(operation, arguments, context)
+    except ServiceFault as exc:
+        if span is not None:
+            span.record_exception(exc)
+        raise
 
 
 def binding_proxy(

@@ -51,8 +51,8 @@ import threading
 import time
 from typing import Callable, Optional
 
-from ..observability.runtime import OBS, server_span
-from ..observability.trace import TRACEPARENT_HEADER
+from ..observability.runtime import OBS
+from ..observability.trace import NOOP_SPAN, TRACEPARENT_HEADER, TraceContext
 from .client import HttpClient  # noqa: F401 - benchmarks/e2e/ledger.py imports it here
 from .http11 import (
     MAX_HEADER_BYTES,
@@ -527,20 +527,24 @@ class HttpServer:
     def _handle(self, request: HttpRequest) -> HttpResponse:
         """Dispatch one parsed request: handler + telemetry + access hook.
 
-        The server span (parented on an inbound ``traceparent`` header,
-        when present) is *active* while the handler runs, so endpoint
-        spans opened inside — SOAP dispatch, REST dispatch, bus calls —
-        nest under it and share its trace.
+        The one place an HTTP server span opens.  A worker has no active
+        span, so ``http.server`` joins the inbound ``traceparent`` (marked
+        ``trace.remote_parent``) or starts a trace; the SOAP or REST
+        endpoint names its call on it, and the handler's calls nest in it.
         """
         start = time.perf_counter()
-        attributes = {"http.method": request.method, "http.target": request.target}
-        if self.node_name is not None:
-            attributes["node"] = self.node_name
-        with server_span(
-            "http.server",
-            header=request.headers.get(TRACEPARENT_HEADER),
-            **attributes,
-        ) as span:
+        span = NOOP_SPAN
+        if OBS.enabled and OBS.tracer.sampling:
+            attributes = {"http.method": request.method, "http.target": request.target}
+            if self.node_name is not None:
+                attributes["node"] = self.node_name
+            parent = TraceContext.parse(request.headers.get(TRACEPARENT_HEADER))
+            if parent is not None:
+                attributes["trace.remote_parent"] = True
+            span = OBS.tracer.span(
+                "http.server", kind="server", parent=parent, attributes=attributes
+            )
+        with span:
             try:
                 response = self.handler(request)
             except Exception as exc:  # noqa: BLE001 - server must not die

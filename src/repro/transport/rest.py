@@ -38,10 +38,8 @@ from ..core.contracts import ServiceContract
 from ..core.faults import ServiceFault, TransportError
 from ..core.proxy import ServiceProxy
 from ..core.service import InvocationContext, ServiceHost
-from ..observability.runtime import server_span
-from ..observability.trace import TRACEPARENT_HEADER
 from ..xmlkit import Element, from_element, parse, to_element
-from .bindingcore import BindingClient, binding_proxy
+from .bindingcore import BindingClient, binding_proxy, dispatch
 from .conditional import compute_etag, if_none_match
 from .http11 import HttpRequest, HttpResponse, encode_query
 from .client import HttpClient
@@ -177,18 +175,10 @@ class RestEndpoint:
             return arguments
 
         context = InvocationContext(operation_name, headers=dict(request.headers.items()))
-        with server_span(
-            "rest.invoke",
-            header=request.headers.get(TRACEPARENT_HEADER),
-            binding="rest",
-            operation=operation_name,
-            service=service_name,
-        ) as span:
-            try:
-                result = host.invoke(operation_name, arguments, context)
-            except ServiceFault as exc:
-                span.record_exception(exc)
-                return fault_to_response(exc)
+        try:
+            result = dispatch(host, "rest", operation_name, arguments, context)
+        except ServiceFault as exc:
+            return fault_to_response(exc)
         return HttpResponse.xml_response(to_element("result", result).toxml())
 
 
@@ -198,7 +188,7 @@ class RestClient(BindingClient):
     binding = "rest"
     default_prefix = "/rest"
 
-    def _exchange(self, operation: str, arguments: Any, span: Any = None) -> Any:
+    def _exchange(self, operation: str, arguments: Any) -> Any:
         """One raw resource round-trip (no telemetry; HttpClient carries
         ``traceparent`` in the HTTP headers): encode, send, decode.  A call
         that arrived in this dialect already (the caller's

@@ -13,9 +13,9 @@ re-raises as the same typed fault at the client.
   fault rule the REST binding shares (:mod:`repro.transport.statusmap`),
   an unreadable envelope with 400 and an authenticator's rejection 401.
 * :class:`SoapClient` — client side: the envelope dialect of
-  :class:`~repro.transport.bindingcore.BindingClient`, adding the
-  in-band ``traceparent`` header block; :func:`soap_proxy` for a typed
-  façade.
+  :class:`~repro.transport.bindingcore.BindingClient`;
+  :func:`soap_proxy` for a typed façade.  Neither side opens a span of
+  its own: the trace rides the HTTP ``traceparent`` header alone.
 
 :class:`SoapClient` is thread-safe to the extent its ``HttpClient`` is:
 the pooled client hands each concurrent caller its own keep-alive
@@ -34,10 +34,8 @@ from ..core.contracts import ServiceContract
 from ..core.faults import ServiceFault, TransportError
 from ..core.proxy import ServiceProxy
 from ..core.service import InvocationContext, ServiceHost
-from ..observability.runtime import server_span
-from ..observability.trace import TRACEPARENT_HEADER
 from ..xmlkit import Element, from_element, parse, to_element
-from .bindingcore import BindingClient, binding_proxy
+from .bindingcore import BindingClient, binding_proxy, dispatch
 from .http11 import HttpRequest, HttpResponse
 from .client import HttpClient
 from .statusmap import append_detail, fault_response, raise_transport_status, rebuild_fault
@@ -179,29 +177,17 @@ class SoapEndpoint:
         context = InvocationContext(
             operation, principal=principal, roles=roles, headers=headers
         )
-        # The dispatch span prefers the active http.server span as its
-        # parent; the envelope's traceparent header block covers carriers
-        # that are not HTTP (or tests that bypass the server).
-        with server_span(
-            "soap.invoke",
-            header=headers.get(TRACEPARENT_HEADER),
-            binding="soap",
-            operation=operation,
-            service=service_name,
-        ) as span:
-            try:
-                result = host.invoke(operation, arguments, context)
-            except ServiceFault as exc:
-                span.record_exception(exc)
-                return fault_response(exc, build_fault(exc).toxml())
+        try:
+            result = dispatch(host, "soap", operation, arguments, context)
+        except ServiceFault as exc:
+            return fault_response(exc, build_fault(exc).toxml())
         return HttpResponse.xml_response(build_result(operation, result).toxml())
 
 
 class SoapClient(BindingClient):
     """Invokes operations on a remote SOAP endpoint.
 
-    ``headers`` become envelope header blocks on every call; a traced
-    call adds the ``traceparent`` block as well.
+    ``headers`` become envelope header blocks on every call.
     """
 
     binding = "soap"
@@ -220,16 +206,9 @@ class SoapClient(BindingClient):
         super().__init__(http, service_name, prefix, contract=contract)
         self.headers = dict(headers or {})
 
-    def _exchange(self, operation: str, arguments: dict[str, Any], span: Any = None) -> Any:
+    def _exchange(self, operation: str, arguments: dict[str, Any]) -> Any:
         """One raw envelope round-trip (no telemetry)."""
-        headers = self.headers
-        trace = span.context if span is not None else None
-        if trace is not None:
-            # In-band propagation: the trace context rides in the envelope's
-            # header blocks as well as the HTTP header (which HttpClient
-            # injects), so non-HTTP carriers of the envelope still propagate.
-            headers = {**headers, TRACEPARENT_HEADER: trace.traceparent()}
-        request_xml = build_call(operation, arguments, headers).toxml()
+        request_xml = build_call(operation, arguments, self.headers).toxml()
         response = self.http.post(self.path, request_xml, content_type=CONTENT_TYPE)
         if response.content_type not in (CONTENT_TYPE, "application/xml"):
             raise_transport_status(response)

@@ -92,9 +92,11 @@ def test_traced_call():
     assert "1 trace" in out
     assert "bus.call [server] binding=inproc" in out
     assert "· retry attempt=1" in out
-    # both bindings appear under the one tree
-    assert "soap.invoke [server] binding=soap" in out
-    assert "rest.invoke [server] binding=rest" in out
+    # both bindings appear under the one tree, each hop's server span
+    # naming the call it dispatched
+    assert "http.server [server] binding=soap operation=quote" in out
+    assert "http.server [server] binding=rest operation=quote" in out
+    assert ".invoke" not in out
     assert 'repro_bus_dispatch_total{operation="spread",outcome="ok"} 1' in out
     assert "/healthz -> 200" in out
     assert "with an open breaker, /healthz -> 503" in out
@@ -159,7 +161,7 @@ def test_tracing_demo():
     out = run_example("tracing_demo.py")
     assert "DOOM quote came back 500" in out
     assert "assembled from 3 nodes" in out
-    assert "rest.invoke" in out
+    assert "http.server [server] binding=rest operation=quote" in out
     assert "critical path:" in out
     assert "gateway -> Quote  calls=1 errors=1" in out
     assert "resolved: True state=complete" in out

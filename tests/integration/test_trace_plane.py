@@ -178,7 +178,8 @@ class TestTracePlaneEndToEnd:
         nodes = set(doc["nodes"])
         assert "loadgen" in nodes and "gateway" in nodes
         assert any(node.startswith("quote-") for node in nodes)
-        assert "http.server" in doc["tree"] and "rest.invoke" in doc["tree"]
+        # the replica's one server span names the call it dispatched
+        assert "http.server [server] binding=rest operation=quote" in doc["tree"]
         path = doc["critical_path"]
         assert path and path[0]["name"] == "load.request"
         assert any(hop["node"].startswith("quote-") for hop in path)

@@ -10,10 +10,8 @@ from repro.observability import (
     OBS,
     BusDispatchMetrics,
     SpanCollector,
-    TraceContext,
     observed,
     render_prometheus,
-    server_span,
 )
 from repro.observability.runtime import _tick_value
 
@@ -177,27 +175,3 @@ class TestBusTracing:
         assert bus.call(address, "say", {"text": "quiet"}) == "quiet"
         # no instruments touched: the default instruments stay empty
         assert OBS.instruments.bus.calls("say") == (0, 0)
-
-
-class TestServerSpan:
-    def test_noop_when_disabled(self):
-        assert not OBS.enabled
-        span = server_span("http.server")
-        assert not span.recording
-
-    def test_prefers_active_context_over_header(self):
-        collector = SpanCollector()
-        with observed(collector):
-            with OBS.tracer.span("outer") as outer:
-                header = TraceContext(trace_id=1, span_id=2).traceparent()
-                with server_span("inner", header=header) as inner:
-                    assert inner.trace_id == outer.trace_id
-                    assert inner.parent_id == outer.span_id
-
-    def test_falls_back_to_header(self):
-        collector = SpanCollector()
-        with observed(collector):
-            header = TraceContext(trace_id=11, span_id=22).traceparent()
-            with server_span("served", header=header) as span:
-                assert span.trace_id == 11
-                assert span.parent_id == 22

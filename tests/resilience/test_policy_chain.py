@@ -151,6 +151,35 @@ class TestDeadlineMiddleware:
         # attempts at t=0, 1, 2; the wait to t=3 would blow the deadline
         assert calls["n"] == 3
 
+    def test_a_retry_the_deadline_stops_spends_no_budget(self):
+        clock = ManualClock()
+        budget = RetryBudget(ratio=0.1, burst=2.0)
+        calls = {"n": 0}
+
+        def always_down(**kw):
+            calls["n"] += 1
+            raise ServiceUnavailable("down")
+
+        invoker = make_invoker(
+            always_down,
+            ResiliencePolicy(
+                deadline_seconds=1.0,
+                retry=RetryPolicy(attempts=3, base_delay=5.0),
+                circuit=None,
+            ),
+            clock=clock,
+            sleep=clock.advance,
+            budget=budget,
+        )
+        for _ in range(2):
+            with pytest.raises(ServiceUnavailable):
+                invoker("op", {})
+        # the 5 s backoff never fits the 1 s deadline: no retry ran, so
+        # none was paid for
+        assert calls["n"] == 2
+        assert (budget.retries_allowed, budget.retries_denied) == (0, 0)
+        assert budget.tokens == 2.0
+
     def test_latency_spike_surfaces_as_timeout_fault(self):
         clock = ManualClock()
 

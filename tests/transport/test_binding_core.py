@@ -10,8 +10,9 @@ REST endpoint refuses it: same status, same body.  (c) A well-formed
 call is relayed to a REST replica as it arrived, so it is answered
 through the gateway exactly as the REST endpoint answers it directly —
 results, application faults, and a shedding replica's 503 — while the
-replica sees none of the caller's credentials or trace header and its
-spans join the gateway's ``rest.call``.
+replica sees none of the caller's credentials or trace header.  A traced
+call makes one span per hop and side: the gateway's ``http.server``, its
+``rest.call`` (or ``soap.call``) and the replica's ``http.server``.
 """
 
 import random
@@ -444,12 +445,26 @@ def test_the_relayed_request_carries_no_caller_credentials_or_trace():
         assert not {"x-contract-version", "connection"} & set(headers)
 
 
-def test_the_replica_span_joins_the_gateway_rest_call():
+def traced_gateway_call(binding, endpoint_class):
+    """One traced GET through a gateway to a one-replica ``binding``
+    fleet, joined to a caller's ``traceparent``: (response, spans,
+    caller's span id)."""
     collector = SpanCollector()
     caller_span = "b" * 16
+    endpoint = endpoint_class()
+    endpoint.mount(ServiceHost(Echo()))
     with observed(collector):
-        with rest_replica(Echo()) as server:
-            gateway = relaying_gateway(Echo.contract(), [server])
+        with HttpServer(endpoint, workers=2) as server:
+            broker = ServiceBroker()
+            broker.publish(
+                Echo.contract(),
+                [Endpoint(binding, f"{server.base_url}/{binding}/Echo")],
+            )
+            gateway = Gateway(
+                broker,
+                [GatewayRoute("/rest/Echo", "Echo")],
+                limiter=RateLimiter(OPEN, anonymous=OPEN),
+            )
             try:
                 with gateway.start() as front:
                     with HttpClient(front.host, front.port) as client:
@@ -459,13 +474,39 @@ def test_the_replica_span_joins_the_gateway_rest_call():
                         )
             finally:
                 gateway.close()
+    return response, collector.spans(), int(caller_span, 16)
+
+
+def assert_one_span_per_hop_and_side(binding, endpoint_class):
+    """One server span and one client span per hop: the gateway's
+    ``http.server``, its ``<binding>.call`` and the replica's
+    ``http.server``, which names the call it dispatched."""
+    response, spans, caller_span = traced_gateway_call(binding, endpoint_class)
     assert response.status == 200
-    spans = collector.spans()
-    by_id = {span.span_id: span for span in spans}
-    (call,) = [span for span in spans if span.name == "rest.call"]
-    (invoke,) = [span for span in spans if span.name == "rest.invoke"]
-    replica_server = by_id[invoke.parent_id]
-    assert replica_server.name == "http.server"
-    assert replica_server.parent_id == call.span_id
-    assert f"{replica_server.parent_id:016x}" != caller_span
     assert len({span.trace_id for span in spans}) == 1
+    by_parent = {span.parent_id: span for span in spans}
+    assert len(by_parent) == len(spans) == 3
+    front = by_parent[caller_span]
+    call = by_parent[front.span_id]
+    replica = by_parent[call.span_id]
+    assert [(s.name, s.kind) for s in (front, call, replica)] == [
+        ("http.server", "server"),
+        (f"{binding}.call", "client"),
+        ("http.server", "server"),
+    ]
+    assert front.attributes["trace.remote_parent"] is True
+    assert replica.attributes["trace.remote_parent"] is True
+    assert (
+        replica.attributes["binding"],
+        replica.attributes["operation"],
+        replica.attributes["service"],
+    ) == (binding, "shout", "Echo")
+    assert "binding" not in front.attributes
+
+
+def test_the_replica_span_joins_the_gateway_rest_call():
+    assert_one_span_per_hop_and_side("rest", RestEndpoint)
+
+
+def test_the_soap_replica_span_joins_the_gateway_soap_call():
+    assert_one_span_per_hop_and_side("soap", SoapEndpoint)
