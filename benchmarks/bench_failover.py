@@ -5,8 +5,9 @@ Three questions the replication tentpole must answer with numbers:
 * **scale-out** — does a 3-replica set actually serve an I/O-bound
   workload faster than a single node?  Each node has its own worker
   pool, so concurrent callers should overlap across replicas;
-* **steady overhead** — the :class:`ReplicaBalancer`'s P2C planning and
-  QoS bookkeeping ride on every call; the per-call cost must stay a
+* **steady overhead** — the :class:`ReplicaBalancer`'s P2C planning,
+  per-replica ejection breakers and QoS bookkeeping ride on every call;
+  the per-call cost must stay a
   small multiple of the single-replica path, not a new bottleneck;
 * **kill blast radius** — hard-killing one replica mid-batch must leave
   zero caller-visible faults, and the p99 latency *during the kill*
@@ -26,7 +27,7 @@ from pathlib import Path
 
 from repro.core import Service, ServiceBroker, operation
 from repro.replication import publish_replicated
-from repro.resilience import EjectionPolicy, ReplicaBalancer
+from repro.resilience import CircuitPolicy, ReplicaBalancer
 
 THREADS = 8
 CALLS_PER_THREAD = 25
@@ -55,7 +56,7 @@ def make_balancer(broker):
     return ReplicaBalancer(
         broker,
         "FailoverBench",
-        ejection=EjectionPolicy(consecutive_failures=1, readmit_after=60.0),
+        ejection=CircuitPolicy(failure_threshold=1, recovery_seconds=60.0),
     )
 
 

@@ -9,10 +9,12 @@ The dependability unit's scale-out lab in one script:
 2. a ``ReplicaBalancer`` spreads client calls across the set
    (power-of-two-choices on broker health scores)
 3. one replica is hard-killed mid-traffic: callers never notice — the
-   balancer fails over within the call, ejects the corpse, and the
-   per-service fleet SLO watched by a ``FleetMonitor`` stays green
-4. the node restarts on its old port; after the cooldown the balancer's
-   probe call re-admits it and the fleet is whole again
+   balancer fails over within the call, ejects the corpse (its
+   per-replica circuit breaker trips open), and the per-service fleet
+   SLO watched by a ``FleetMonitor`` stays green
+4. the node restarts on its old port; once the breaker's open period
+   lapses, its one half-open probe call re-admits the node and the
+   fleet is whole again
 """
 
 import time
@@ -20,7 +22,7 @@ import time
 from repro.core import Service, ServiceBroker, operation
 from repro.observability import BurnRateRule, observed
 from repro.replication import publish_replicated, watch_replica_set
-from repro.resilience import EjectionPolicy, ReplicaBalancer
+from repro.resilience import CircuitPolicy, ReplicaBalancer
 from repro.services import FleetMonitor
 
 READMIT_AFTER = 0.4
@@ -62,8 +64,8 @@ def main() -> None:
         balancer = ReplicaBalancer(
             broker,
             "Quote",
-            ejection=EjectionPolicy(
-                consecutive_failures=1, readmit_after=READMIT_AFTER
+            ejection=CircuitPolicy(
+                failure_threshold=1, recovery_seconds=READMIT_AFTER
             ),
         )
         try:

@@ -140,7 +140,8 @@ def main() -> None:
     from repro.resilience import CircuitBreakerRegistry, CircuitPolicy
 
     breakers = CircuitBreakerRegistry(CircuitPolicy(failure_threshold=1))
-    breakers.breaker_for("soap://QuoteService").on_failure(probing=False)
+    breaker = breakers.breaker_for("soap://QuoteService")
+    breaker.on_failure(breaker.before_call())
     probe = HealthHandler().watch_breakers(breakers)
     response = probe(HttpRequest("GET", "/healthz"))
     print(f"with an open breaker, /healthz -> {response.status}")

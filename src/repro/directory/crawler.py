@@ -262,11 +262,11 @@ class ServiceCrawler:
             ):
                 report.skipped_by_budget += 1
                 continue
-            breaker, probing = None, False
+            breaker = ticket = None
             if self.breakers is not None:
                 breaker = self.breakers.breaker_for(domain)
                 try:
-                    probing = breaker.before_call()
+                    ticket = breaker.before_call()
                 except ServiceUnavailable:
                     report.skipped_by_quarantine += 1
                     if OBS.enabled:
@@ -286,7 +286,7 @@ class ServiceCrawler:
                 report.dead_links += 1
                 if OBS.enabled:
                     OBS.instruments.crawler_fetches.inc(outcome="dead")
-                if breaker is not None and breaker.on_failure(probing):
+                if breaker is not None and breaker.on_failure(ticket):
                     report.quarantined_domains.add(domain)
                     if OBS.enabled:
                         OBS.instruments.crawler_quarantine.inc(
@@ -296,7 +296,7 @@ class ServiceCrawler:
             if OBS.enabled:
                 OBS.instruments.crawler_fetches.inc(outcome="ok")
             if breaker is not None:
-                breaker.on_success(probing)
+                breaker.on_success(ticket)
             report.visited.add(url)
             report.simulated_seconds += page.latency
             if page.content_type == "application/xml":

@@ -53,7 +53,6 @@ Everything is off by default and costs a flag check per call site;
 from .trace import (
     NOOP_SPAN,
     TRACEPARENT_HEADER,
-    NullExporter,
     Span,
     SpanCollector,
     SpanEvent,
@@ -130,7 +129,7 @@ from .slo import (
 __all__ = [
     # trace
     "TraceContext", "Span", "SpanEvent", "Tracer", "SpanCollector",
-    "NullExporter", "NOOP_SPAN", "TRACEPARENT_HEADER",
+    "NOOP_SPAN", "TRACEPARENT_HEADER",
     "current_span", "current_trace_id", "add_event", "render_trace_tree",
     "span_from_dict",
     # export

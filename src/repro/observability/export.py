@@ -57,7 +57,7 @@ _SILENCED = TraceContext(
 class BatchSpanExporter:
     """Bounded-queue, background-flush span shipper (an exporter).
 
-    ``collects=True`` so it slots anywhere a
+    It slots anywhere a
     :class:`~repro.observability.trace.SpanCollector` would — though the
     intended position is downstream of a ``TailSampler``.  ``export`` is
     the only hot-path method: it enqueues (or drops) and returns.  The
@@ -70,8 +70,6 @@ class BatchSpanExporter:
     dials its own against ``host:port`` lazily and closes it with the
     exporter.
     """
-
-    collects = True
 
     def __init__(
         self,

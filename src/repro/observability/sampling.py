@@ -6,7 +6,8 @@ Tail sampling inverts the deal: spans are *buffered per trace* until the
 trace's local root finishes, and only then does a policy decide whether
 the whole trace is worth keeping:
 
-* **errored** traces are always kept (a failure you cannot replay is a
+* **errored** traces — a span that raised, or a server span that
+  answered 5xx — are always kept (a failure you cannot replay is a
   failure you cannot explain);
 * **slow** traces — any span at or over ``slow_threshold`` — are kept;
 * **marked** traces (:func:`mark_trace`, or any span attribute
@@ -24,7 +25,7 @@ a span whose inbound context says ``sampled=False`` is counted and
 discarded *without buffering*, so one upstream drop verdict silences the
 whole downstream fan-out.
 
-The sampler is itself an exporter (``collects=True``), so it slots into
+The sampler is itself an exporter, so it slots into
 ``Tracer``/``OBS.enable`` exactly where a :class:`SpanCollector` would::
 
     keeper = SpanCollector()
@@ -112,8 +113,6 @@ class TailSampler:
     outside the buffer lock so a slow downstream exporter does not stall
     concurrent request threads.
     """
-
-    collects = True
 
     def __init__(
         self,

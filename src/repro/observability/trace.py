@@ -13,9 +13,8 @@ RESTful call is still one trace.  The pieces:
   breaker transitions, bulkhead rejections, fallbacks).
 * :class:`Tracer` — creates spans, keeps the active span in a
   context-local (:mod:`contextvars`), and hands finished spans to an
-  *exporter*.  With no exporter — or a non-collecting one such as
-  :class:`NullExporter` — ``span()`` returns a shared no-op span, so
-  instrumented call sites cost a flag check when nobody is looking
+  *exporter*.  With no exporter ``span()`` returns a shared no-op span,
+  so instrumented call sites cost a flag check when nobody is looking
   (measured by ``benchmarks/bench_observability_overhead.py``).
 * :class:`SpanCollector` — the in-memory exporter tests and examples
   use; pairs with :func:`render_trace_tree` for a human-readable view.
@@ -40,7 +39,6 @@ __all__ = [
     "Span",
     "SpanEvent",
     "Tracer",
-    "NullExporter",
     "SpanCollector",
     "NOOP_SPAN",
     "current_span",
@@ -112,10 +110,9 @@ class SpanEvent:
     attributes: dict[str, Any]
 
 
-# The active span (a Span) or remote parent (a TraceContext) for the
-# current logical context.  contextvars gives each thread — and each
-# asyncio task, should one appear — its own slot.
-_ACTIVE: ContextVar[Optional[object]] = ContextVar("repro_active_span", default=None)
+# The active span for the current logical context.  contextvars gives
+# each thread — and each asyncio task, should one appear — its own slot.
+_ACTIVE: ContextVar[Optional["Span"]] = ContextVar("repro_active_span", default=None)
 
 # Profiler hooks: while a SamplingProfiler runs, repro.observability.profiling
 # installs (enter, exit) callables here so samples can be tagged with the
@@ -236,12 +233,17 @@ class Span:
         and the exception class name otherwise, so a trace answers
         *which* kind of failure occurred, not just that one did.
         """
-        self.status = "error"
-        self.error = str(exc)
+        self.set_error(str(exc))
         code = getattr(exc, "code", None)
         self.attributes["fault.code"] = code if code else type(exc).__name__
         if getattr(exc, "fast_fail", False):
             self.attributes["fault.fast_fail"] = True
+        return self
+
+    def set_error(self, description: str) -> "Span":
+        """Mark the span failed without an exception (e.g. a 5xx answer)."""
+        self.status = "error"
+        self.error = description
         return self
 
     # -- context manager ------------------------------------------------
@@ -329,6 +331,9 @@ class _NoopSpan:
     def record_exception(self, exc: BaseException) -> "_NoopSpan":
         return self
 
+    def set_error(self, description: str) -> "_NoopSpan":
+        return self
+
     def __enter__(self) -> "_NoopSpan":
         return self
 
@@ -340,20 +345,6 @@ class _NoopSpan:
 
 
 NOOP_SPAN = _NoopSpan()
-
-
-class NullExporter:
-    """Accepts spans and drops them; advertises that it does not collect.
-
-    The tracer uses ``collects=False`` to skip span construction
-    entirely — "pay for what you observe" is the subsystem's overhead
-    contract.
-    """
-
-    collects = False
-
-    def export(self, span: Span) -> None:  # pragma: no cover - never called
-        pass
 
 
 class SpanCollector:
@@ -374,8 +365,6 @@ class SpanCollector:
     plus a copy proportional to *that trace*, not a scan of the whole
     ring.
     """
-
-    collects = True
 
     def __init__(self, capacity: int = 4096) -> None:
         if capacity < 1:
@@ -445,10 +434,10 @@ class SpanCollector:
 class Tracer:
     """Creates spans and routes finished ones to the exporter.
 
-    ``exporter=None`` (the default) disables tracing outright;
-    an exporter with ``collects=False`` (:class:`NullExporter`) keeps the
-    wiring "on" while skipping span construction — both cases make
-    :meth:`span` return :data:`NOOP_SPAN`.
+    Tracing is on exactly when an exporter is set: with
+    ``exporter=None`` (the default) :meth:`span` returns
+    :data:`NOOP_SPAN` — "pay for what you observe" is the subsystem's
+    overhead contract.
     """
 
     def __init__(
@@ -470,14 +459,8 @@ class Tracer:
     # -- configuration --------------------------------------------------
     def configure(self, exporter: Optional[object]) -> "Tracer":
         self._exporter = exporter
-        self.sampling = bool(
-            exporter is not None and getattr(exporter, "collects", True)
-        )
+        self.sampling = exporter is not None
         return self
-
-    @property
-    def exporter(self) -> Optional[object]:
-        return self._exporter
 
     # -- span creation --------------------------------------------------
     def span(
@@ -520,24 +503,9 @@ class Tracer:
 
     # -- context access -------------------------------------------------
     def current(self) -> Optional[TraceContext]:
-        """The active trace context (from a local span or a remote parent)."""
+        """The active span's trace context, if a span is active."""
         active = _ACTIVE.get()
-        if active is None:
-            return None
-        if isinstance(active, Span):
-            return active.context
-        return active  # a bare TraceContext activated by a server
-
-    def current_span(self) -> Optional[Span]:
-        active = _ACTIVE.get()
-        return active if isinstance(active, Span) else None
-
-    def activate(self, context: TraceContext):
-        """Make a remote context the local parent; returns a reset token."""
-        return _ACTIVE.set(context)
-
-    def deactivate(self, token) -> None:
-        _ACTIVE.reset(token)
+        return None if active is None else active.context
 
     # -- export ---------------------------------------------------------
     def _export(self, span: Span) -> None:
@@ -548,8 +516,7 @@ class Tracer:
 
 def current_span() -> Optional[Span]:
     """The span active on this thread, if any (module-level convenience)."""
-    active = _ACTIVE.get()
-    return active if isinstance(active, Span) else None
+    return _ACTIVE.get()
 
 
 def current_trace_id() -> Optional[int]:
@@ -560,7 +527,7 @@ def current_trace_id() -> Optional[int]:
     an upstream head-sampler dropped return None — an exemplar pointing
     at a trace nobody kept would be a dead link.
     """
-    active = _ACTIVE.get()  # a Span or a server-activated TraceContext
+    active = _ACTIVE.get()
     if active is None or not active.sampled:
         return None
     return active.trace_id
@@ -573,7 +540,7 @@ def add_event(name: str, **attributes: Any) -> None:
     enough to sit on fault paths unconditionally.
     """
     active = _ACTIVE.get()
-    if isinstance(active, Span):
+    if active is not None:
         active.events.append(
             SpanEvent(name, active._tracer._clock(), attributes)
         )

@@ -26,7 +26,7 @@ from .policy import (
     RetryBudget,
     RetryPolicy,
 )
-from .breaker import CircuitBreakerRegistry, EndpointBreaker
+from .breaker import CircuitBreakerRegistry, EndpointBreaker, Ticket
 from .middleware import (
     Handler,
     Invocation,
@@ -39,7 +39,6 @@ from .middleware import (
 from .binding import PooledHttpClients, broker_reporter, invoker_for_endpoint
 from .replica import (
     FAILOVER_FAULTS,
-    EjectionPolicy,
     HedgePolicy,
     ReplicaBalancer,
     resilient_proxy_from_broker,
@@ -49,11 +48,11 @@ from .chaos import ChaosEvent, ChaosPlan, ManualClock
 __all__ = [
     "ResiliencePolicy", "RetryPolicy", "CircuitPolicy", "BulkheadPolicy",
     "FallbackPolicy", "RetryBudget", "NO_FALLBACK", "RETRYABLE_FAULTS",
-    "EndpointBreaker", "CircuitBreakerRegistry",
+    "EndpointBreaker", "CircuitBreakerRegistry", "Ticket",
     "Invocation", "Observation", "Handler", "Middleware", "Reporter",
     "ResilientInvoker", "build_chain",
     "broker_reporter", "invoker_for_endpoint", "PooledHttpClients",
     "resilient_proxy_from_broker", "FAILOVER_FAULTS",
-    "EjectionPolicy", "HedgePolicy", "ReplicaBalancer",
+    "HedgePolicy", "ReplicaBalancer",
     "ManualClock", "ChaosEvent", "ChaosPlan",
 ]

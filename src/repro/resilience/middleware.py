@@ -32,7 +32,7 @@ from typing import Any, Callable, Optional, Sequence
 from ..core.faults import ServiceUnavailable, TimeoutFault
 from ..observability.runtime import OBS
 from ..observability.trace import add_event
-from .breaker import CircuitBreakerRegistry
+from .breaker import CircuitBreakerRegistry, EndpointBreaker
 from .policy import ResiliencePolicy, RetryBudget
 
 __all__ = [
@@ -194,32 +194,28 @@ def _bulkhead_middleware(handler: Handler, max_concurrent: int) -> Handler:
 
 
 def _breaker_middleware(handler: Handler, breakers: CircuitBreakerRegistry) -> Handler:
-    # Per-chain memo of endpoint -> bound breaker methods: a chain usually
-    # serves one endpoint, so this skips the registry's lock *and* the
-    # per-call bound-method allocations on the hot path.
-    cache: dict[str, tuple[Callable[[], bool], Callable[[bool], None], Callable[[bool], None]]] = {}
+    # Per-chain memo of endpoint -> breaker: a chain usually serves one
+    # endpoint, so the hot path skips the registry call.
+    cache: dict[str, EndpointBreaker] = {}
 
     def run(invocation: Invocation) -> Any:
-        entry = cache.get(invocation.endpoint)
-        if entry is None:
-            breaker = breakers.breaker_for(invocation.endpoint)
-            entry = (breaker.before_call, breaker.on_success, breaker.on_failure)
-            cache[invocation.endpoint] = entry
-        before_call, on_success, on_failure = entry
+        breaker = cache.get(invocation.endpoint)
+        if breaker is None:
+            breaker = cache[invocation.endpoint] = breakers.breaker_for(invocation.endpoint)
         try:
-            probing = before_call()
+            ticket = breaker.before_call()
         except ServiceUnavailable:
             _note("breaker_fast_fail", endpoint=invocation.endpoint)
             raise
-        if probing:
+        if ticket.probe:
             _note("breaker_probe", endpoint=invocation.endpoint)
         try:
             result = handler(invocation)
         except Exception:
-            if on_failure(probing):
+            if breaker.on_failure(ticket):
                 _note("breaker_open", endpoint=invocation.endpoint)
             raise
-        if on_success(probing):
+        if breaker.on_success(ticket):
             _note("breaker_close", endpoint=invocation.endpoint)
         return result
 

@@ -11,12 +11,14 @@ scale-out the curriculum's dependability unit builds toward:
   (:meth:`~repro.core.broker.ServiceBroker.replica_health`): sample two
   live replicas, send the call to the healthier one.  P2C keeps herd
   behaviour away from one "best" replica while still avoiding bad ones;
-* replicas are **ejected** after ``EjectionPolicy.consecutive_failures``
-  straight failures and re-admitted through a **timed probe**: once
-  ``readmit_after`` elapses the replica gets exactly one trial call
-  (with the healthy replicas as failover behind it; calls planned while
-  it is in flight treat the replica as ejected) — success readmits it,
-  failure re-ejects it for another cooldown.  A call sent before an
+* replicas are **ejected** by a per-replica
+  :class:`~repro.resilience.breaker.EndpointBreaker` — the codebase's
+  one breaker automaton — after ``CircuitPolicy.failure_threshold``
+  straight failures, and re-admitted through its **half-open probe**:
+  once ``recovery_seconds`` elapse the replica gets exactly one trial
+  call (with the healthy replicas as failover behind it; calls planned
+  while it is in flight treat the replica as ejected) — success readmits
+  it, failure re-ejects it for another cooldown.  A call sent before an
   ejection that answers after it changes nothing: only calls sent since
   the latest ejection judge the replica;
 * a ``Retry-After`` hint from a load-shedding provider (PR 4's 503
@@ -62,12 +64,11 @@ from .binding import (
     broker_reporter,
     invoker_for_endpoint,
 )
-from .breaker import CircuitBreakerRegistry
+from .breaker import CircuitBreakerRegistry, EndpointBreaker, Ticket
 from .middleware import Middleware, ResilientInvoker
-from .policy import ResiliencePolicy, RetryBudget
+from .policy import CircuitPolicy, ResiliencePolicy, RetryBudget
 
 __all__ = [
-    "EjectionPolicy",
     "HedgePolicy",
     "ReplicaBalancer",
     "resilient_proxy_from_broker",
@@ -88,25 +89,8 @@ FAILOVER_FAULTS: tuple[type[Exception], ...] = (
 #: One caller's call: operation, arguments, and the REST request to relay.
 Call = tuple[str, dict[str, Any], Any]
 
-
-@dataclass(frozen=True)
-class EjectionPolicy:
-    """When to stop sending calls to a replica, and when to probe it again.
-
-    ``consecutive_failures`` straight failures eject the replica for
-    ``readmit_after`` seconds; after that it receives a single probe call
-    (failover-covered) whose outcome readmits or re-ejects it.  Outcomes
-    of calls sent before the ejection are ignored.
-    """
-
-    consecutive_failures: int = 3
-    readmit_after: float = 5.0
-
-    def __post_init__(self) -> None:
-        if self.consecutive_failures < 1:
-            raise ValueError("consecutive_failures must be >= 1")
-        if self.readmit_after <= 0:
-            raise ValueError("readmit_after must be positive")
+#: A replica's ``states()`` status while its breaker is not closed.
+_STATUS = {"open": "ejected", "half-open": "probation"}
 
 
 @dataclass(frozen=True)
@@ -137,19 +121,12 @@ class HedgePolicy:
 class _ReplicaState:
     """Balancer-local bookkeeping for one endpoint (broker holds QoS)."""
 
-    __slots__ = (
-        "failures", "ejected_until", "cooling_until", "ejections", "ejected",
-        "inflight", "probe",
-    )
+    __slots__ = ("breaker", "cooling_until", "inflight")
 
-    def __init__(self) -> None:
-        self.failures = 0
-        self.ejected_until = 0.0
+    def __init__(self, breaker: EndpointBreaker) -> None:
+        self.breaker = breaker  # ejects and re-admits the replica
         self.cooling_until = 0.0
-        self.ejections = 0
-        self.ejected = False
         self.inflight = 0
-        self.probe = -1  # the ejection count its in-flight probe was sent under
 
 
 class _LatencyWindow:
@@ -180,6 +157,9 @@ class ReplicaBalancer:
     default ``policy`` is :meth:`ResiliencePolicy.unprotected` — the
     balancer's own ejection + cross-replica failover replaces per-attempt
     retries and breakers; pass a full policy to stack both layers.
+    ``ejection`` is the :class:`CircuitPolicy` of the per-replica
+    breakers that eject and re-admit replicas (default: three straight
+    failures eject for five seconds).
 
     Deterministic under test: ``clock``, ``sleep`` and ``rng`` are
     injectable, and ejection/cooldown state is inspectable via
@@ -193,7 +173,7 @@ class ReplicaBalancer:
         *,
         bus: Optional[ServiceBus] = None,
         policy: Optional[ResiliencePolicy] = None,
-        ejection: Optional[EjectionPolicy] = None,
+        ejection: Optional[CircuitPolicy] = None,
         hedge: Optional[HedgePolicy] = None,
         binding: Optional[str] = None,
         clock: Callable[[], float] = time.monotonic,
@@ -206,7 +186,9 @@ class ReplicaBalancer:
         self.broker = broker
         self.service_name = service_name
         self.policy = policy or ResiliencePolicy.unprotected()
-        self.ejection = ejection or EjectionPolicy()
+        self.ejection = ejection or CircuitPolicy(
+            failure_threshold=3, recovery_seconds=5.0
+        )
         self.hedge = hedge
         self._binding = binding
         self._bus = bus
@@ -275,7 +257,8 @@ class ReplicaBalancer:
     def _state_locked(self, key: str) -> _ReplicaState:
         state = self._states.get(key)
         if state is None:
-            state = self._states[key] = _ReplicaState()
+            breaker = EndpointBreaker(self.ejection, clock=self._clock, endpoint=key)
+            state = self._states[key] = _ReplicaState(breaker)
         return state
 
     def _event(self, event: str) -> None:
@@ -291,47 +274,49 @@ class ReplicaBalancer:
             )
 
     # -- selection -------------------------------------------------------
-    def _plan(self, replicas: list[tuple[Endpoint, float]]) -> list[Endpoint]:
+    def _plan(
+        self, replicas: list[tuple[Endpoint, float]]
+    ) -> tuple[list[Endpoint], Optional[Ticket]]:
         """Order replicas for one call: probe, then P2C pick, then spares.
 
         Returns every replica exactly once — the head is where the call
         goes, the tail is the in-call failover ladder, so a single dead
-        replica can never surface to the caller while a live one exists.
+        replica can never surface to the caller while a live one exists
+        — and, when the head is a replica's probe, the probe's ticket.
         """
         now = self._clock()
+        probe: Optional[Ticket] = None
+        order: list[Endpoint] = []
+        available: list[tuple[Endpoint, float]] = []
+        probes: list[tuple[Endpoint, float]] = []
+        cooling: list[tuple[float, Endpoint]] = []
+        ejected: list[Endpoint] = []
         with self._lock:
-            available: list[tuple[Endpoint, float]] = []
-            probes: list[Endpoint] = []
-            cooling: list[tuple[float, Endpoint]] = []
-            ejected: list[Endpoint] = []
             for endpoint, health in replicas:
                 state = self._state_locked(endpoint.key)
-                if state.ejected and (now < state.ejected_until or state.probe == state.ejections):
+                status, ticket = state.breaker.admit(probe is None)
+                if ticket.probe:
+                    probe = ticket  # cooldown elapsed: one trial call
+                    order.append(endpoint)
+                elif status == "half-open":
+                    probes.append((endpoint, 0.0))
+                elif status != "closed":
                     ejected.append(endpoint)  # cooling down, or its probe in flight
-                elif state.ejected:
-                    probes.append(endpoint)  # cooldown elapsed: one trial call
                 elif now < state.cooling_until:
                     cooling.append((state.cooling_until, endpoint))
                 else:
                     available.append((endpoint, health))
-            live = len(available) + len(probes)
-            if probes:
-                state = self._states[probes[0].key]
-                state.probe = state.ejections
+        available.extend(probes)  # extra probes wait their turn at the back
         if OBS.enabled:
-            OBS.instruments.replica_live.set(live, service=self.service_name)
-
-        order: list[Endpoint] = []
-        if probes:
-            order.append(probes[0])
+            OBS.instruments.replica_live.set(
+                len(available) + len(order), service=self.service_name
+            )
+        if probe is not None:
             self._event("probe")
-            available.extend(
-                (endpoint, 0.0) for endpoint in probes[1:]
-            )  # extra probes wait their turn at the back
         order.extend(self._pick_two(available))
         order.extend(endpoint for _until, endpoint in sorted(cooling, key=lambda c: c[0]))
         order.extend(ejected)
-        return order
+        return order, probe
 
     def _pick_two(self, available: list[tuple[Endpoint, float]]) -> list[Endpoint]:
         """Power-of-two-choices head, remaining candidates health-first."""
@@ -350,82 +335,58 @@ class ReplicaBalancer:
         return [available[winner][0]] + [endpoint for endpoint, _health in rest]
 
     # -- outcome bookkeeping ---------------------------------------------
-    # ``ejections`` is the state a call was sent to: an outcome that
-    # arrives after a later ejection answers for a replica the balancer
-    # has already judged, so only calls sent since (the probe) count.
+    # ``ticket`` names the ejection the call was sent under: an outcome
+    # that arrives after a later ejection answers for a replica the
+    # breaker has already judged, so it books nothing (cooling included).
     def _record_success(
-        self, endpoint: Endpoint, latency: float, ejections: int
+        self, state: _ReplicaState, ticket: Ticket, latency: float
     ) -> None:
         self._latencies.add(latency)
-        readmitted = False
-        with self._lock:
-            state = self._state_locked(endpoint.key)
-            if state.ejections != ejections:
-                return
-            if state.ejected:
-                readmitted = True
-            state.ejected = False
-            state.failures = 0
-            state.ejected_until = 0.0
-            state.cooling_until = 0.0
-        if readmitted:
+        breaker = state.breaker
+        if ticket.generation != breaker.generation:
+            return
+        if breaker.on_success(ticket):
             self._event("readmit")
+        if state.cooling_until:
+            with self._lock:
+                state.cooling_until = 0.0
 
     def _record_failure(
-        self, endpoint: Endpoint, exc: Exception, ejections: int
+        self, state: _ReplicaState, ticket: Ticket, exc: Exception
     ) -> None:
-        now = self._clock()
+        breaker = state.breaker
+        if ticket.generation != breaker.generation:
+            return
         retry_after = getattr(exc, "retry_after", None)
-        cooled = ejected = False
-        with self._lock:
-            state = self._state_locked(endpoint.key)
-            if state.ejections != ejections:
-                return
-            state.failures += 1
-            if retry_after is not None:
-                cool_until = now + float(retry_after)
-                if cool_until > state.cooling_until:
+        if retry_after is not None:
+            cool_until = self._clock() + float(retry_after)
+            with self._lock:
+                cooled = cool_until > state.cooling_until
+                if cooled:
                     state.cooling_until = cool_until
-                    cooled = True
-            if state.ejected and now >= state.ejected_until:
-                # failed re-admission probe: straight back out
-                state.ejected_until = now + self.ejection.readmit_after
-                state.ejections += 1
-                ejected = True
-            elif (
-                not state.ejected
-                and state.failures >= self.ejection.consecutive_failures
-            ):
-                state.ejected = True
-                state.ejected_until = now + self.ejection.readmit_after
-                state.ejections += 1
-                ejected = True
-        if cooled:
-            self._event("cooldown")
-        if ejected:
+            if cooled:
+                self._event("cooldown")
+        if breaker.on_failure(ticket):
             self._event("eject")
 
     def states(self) -> dict[str, dict[str, Any]]:
         """Balancer-eye view of every replica it has bookkeeping for."""
         now = self._clock()
         with self._lock:
-            out = {}
-            for key, state in self._states.items():
-                if state.ejected and now < state.ejected_until:
-                    status = "ejected"
-                elif state.ejected:
-                    status = "probation"
-                elif now < state.cooling_until:
-                    status = "cooling"
-                else:
-                    status = "live"
-                out[key] = {
-                    "status": status,
-                    "failures": state.failures,
-                    "ejections": state.ejections,
-                    "inflight": state.inflight,
-                }
-            return out
+            states = list(self._states.items())
+        out = {}
+        for key, state in states:
+            breaker = state.breaker
+            status = _STATUS.get(breaker.state)
+            if status is None:
+                status = "cooling" if now < state.cooling_until else "live"
+            out[key] = {
+                "status": status,
+                "failures": breaker.failures,
+                "ejections": breaker.generation,
+                "inflight": state.inflight,
+            }
+        return out
 
     # -- invocation ------------------------------------------------------
     def __call__(self, operation: str, arguments: dict[str, Any], relay: Any = None) -> Any:
@@ -441,14 +402,15 @@ class ReplicaBalancer:
             raise ServiceUnavailable(
                 f"service {self.service_name!r} has no replicas"
             )
-        order = self._plan(replicas)
+        order, probe = self._plan(replicas)
+        call = (operation, arguments, relay)
         if (
             self.hedge is not None
             and len(order) > 1
             and self._is_idempotent(registration, operation)
         ):
-            return self._call_hedged(order, registration, (operation, arguments, relay))
-        return self._failover_call(order, registration, (operation, arguments, relay))
+            return self._call_hedged(order, registration, call, probe)
+        return self._failover_call(order, registration, call, probe)
 
     def _is_idempotent(self, registration: Registration, operation: str) -> bool:
         try:
@@ -456,62 +418,63 @@ class ReplicaBalancer:
         except Exception:  # unknown operation: let the invoker raise the fault
             return False
 
-    def _attempt(self, endpoint: Endpoint, registration: Registration, call: Call) -> Any:
-        """One call on one replica, with its outcome booked."""
+    def _attempt(
+        self,
+        endpoint: Endpoint,
+        registration: Registration,
+        call: Call,
+        ticket: Optional[Ticket] = None,
+    ) -> Any:
+        """One call on one replica, with its outcome booked.  Without the
+        probe's ``ticket`` the attempt is admitted ungated: a replica on
+        the ladder is tried whatever its breaker says."""
         operation, arguments, relay = call
         if relay is not None and endpoint.binding == "rest":
             arguments = relay  # sent as it arrived
         invoker = self._invoker_for(endpoint, registration)
+        state = self._states[endpoint.key]  # made when the call was planned
+        if ticket is None:
+            ticket = state.breaker.admit(False)[1]
         started = self._clock()
-        ejections = self._inflight_delta(endpoint, +1)
+        self._inflight_delta(endpoint, state, +1)
         try:
             result = invoker(operation, arguments)
         except FAILOVER_FAULTS as exc:
-            self._record_failure(endpoint, exc, ejections)
+            self._record_failure(state, ticket, exc)
             self._outcome("failover")
             raise
+        except BaseException:
+            state.breaker.release(ticket)  # the caller's fault, not the replica's
+            raise
         else:
-            self._record_success(endpoint, self._clock() - started, ejections)
+            self._record_success(state, ticket, self._clock() - started)
         finally:
-            self._inflight_delta(endpoint, -1, ejections)
+            self._inflight_delta(endpoint, state, -1)
         return result
 
-    def _inflight_delta(self, endpoint: Endpoint, delta: int, sent_under: int = -1) -> int:
-        """Track concurrent calls per replica (capacity observability);
-        returns the replica's ejection count.  An attempt that ends, its
-        outcome booked, under the ejection count it was ``sent_under``
-        ends the replica's probe, if one was in flight."""
+    def _inflight_delta(
+        self, endpoint: Endpoint, state: _ReplicaState, delta: int
+    ) -> None:
+        """Track concurrent calls per replica (capacity observability)."""
         with self._lock:
-            state = self._state_locked(endpoint.key)
             state.inflight += delta
-            if sent_under == state.ejections:
-                state.probe = -1
             value = state.inflight
-            ejections = state.ejections
         if OBS.enabled:
             OBS.instruments.replica_inflight.set(
                 value, service=self.service_name, replica=endpoint.key
             )
-        return ejections
-
-    def inflight(self) -> dict[str, int]:
-        """Point-in-time concurrent calls per replica endpoint."""
-        with self._lock:
-            return {
-                key: state.inflight
-                for key, state in self._states.items()
-                if state.inflight
-            }
 
     def _failover_call(
         self,
         order: list[Endpoint],
         registration: Registration,
         call: Call,
+        probe: Optional[Ticket] = None,
         last: Optional[Exception] = None,
     ) -> Any:
         """Try ``order`` in turn; the first success wins.
 
+        ``probe`` is the head replica's probe ticket, if it is one.
         Failures in :data:`FAILOVER_FAULTS` move on to the next replica,
         anything else propagates immediately.  When every replica failed,
         the last failure (``last`` when ``order`` is empty) surfaces
@@ -519,9 +482,10 @@ class ReplicaBalancer:
         """
         for endpoint in order:
             try:
-                result = self._attempt(endpoint, registration, call)
+                result = self._attempt(endpoint, registration, call, probe)
             except FAILOVER_FAULTS as exc:
                 last = exc
+                probe = None
                 continue
             self._outcome("ok")
             return result
@@ -552,7 +516,11 @@ class ReplicaBalancer:
         return min(max(observed, self.hedge.min_delay), self.hedge.max_delay)
 
     def _call_hedged(
-        self, order: list[Endpoint], registration: Registration, call: Call
+        self,
+        order: list[Endpoint],
+        registration: Registration,
+        call: Call,
+        probe: Optional[Ticket],
     ) -> Any:
         """Race the primary against one hedge leg; first success wins.
 
@@ -563,23 +531,23 @@ class ReplicaBalancer:
         """
         outcomes: "queue.Queue[tuple[str, bool, Any]]" = queue.Queue()
 
-        def leg(label: str, endpoint: Endpoint) -> None:
+        def leg(label: str, endpoint: Endpoint, ticket: Optional[Ticket]) -> None:
             try:
-                value = self._attempt(endpoint, registration, call)
+                value = self._attempt(endpoint, registration, call, ticket)
             except Exception as exc:  # noqa: BLE001 - transported to caller
                 outcomes.put((label, False, exc))
             else:
                 outcomes.put((label, True, value))
 
-        def spawn(label: str, endpoint: Endpoint) -> None:
+        def spawn(label: str, endpoint: Endpoint, ticket: Optional[Ticket] = None) -> None:
             threading.Thread(
                 target=leg,
-                args=(label, endpoint),
+                args=(label, endpoint, ticket),
                 name=f"replica-hedge-{label}",
                 daemon=True,
             ).start()
 
-        spawn("primary", order[0])
+        spawn("primary", order[0], probe)
         delay = self._hedge_delay()
         hedged = False
         pending = 1

@@ -438,7 +438,8 @@ class HttpClient:
             return response
         if response.status == 304 and stored is not None:
             self._validation.record_hit(len(stored.body))
-            OBS.instruments.client_validation.inc(outcome="revalidated")
+            if OBS.enabled:
+                OBS.instruments.client_validation.inc(outcome="revalidated")
             resolved = HttpResponse(
                 200, _Headers(list(stored.headers)), stored.body
             )
@@ -458,7 +459,8 @@ class HttpClient:
                         etag, last_modified, response.body, response.headers.items()
                     ),
                 )
-                OBS.instruments.client_validation.inc(outcome="stored")
+                if OBS.enabled:
+                    OBS.instruments.client_validation.inc(outcome="stored")
             else:
                 self._validation.remove(request.target)
         elif 400 <= response.status < 600 or response.status == 304:

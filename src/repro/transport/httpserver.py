@@ -531,6 +531,9 @@ class HttpServer:
         span, so ``http.server`` joins the inbound ``traceparent`` (marked
         ``trace.remote_parent``) or starts a trace; the SOAP or REST
         endpoint names its call on it, and the handler's calls nest in it.
+        A 5xx answer marks the span failed, as the OpenTelemetry HTTP
+        conventions ask of a server span (a 4xx is the client's fault),
+        so a tail sampler keeps the trace.
         """
         start = time.perf_counter()
         span = NOOP_SPAN
@@ -550,6 +553,9 @@ class HttpServer:
             except Exception as exc:  # noqa: BLE001 - server must not die
                 span.record_exception(exc)
                 response = HttpResponse.error(500, f"handler error: {exc}")
+            else:
+                if response.status >= 500:
+                    span.set_error(f"HTTP {response.status}")
             status = response.status
             span.set_attribute("http.status", status)
             duration = time.perf_counter() - start

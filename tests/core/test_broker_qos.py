@@ -278,13 +278,13 @@ class TestLeasesAndQuarantineUnderConcurrency:
             clock=lambda: clock["t"],
         )
         breaker = breakers.breaker_for("host")
-        assert breaker.on_failure(probing=False) is True
+        assert breaker.on_failure(breaker.before_call()) is True
         assert breakers.states() == {"host": "open"}
         clock["t"] = 9.9
         assert breakers.states() == {"host": "open"}
         clock["t"] = 10.0
         assert breakers.states() == {"host": "half-open"}
-        assert breaker.before_call() is True  # the single probe
+        assert breaker.before_call().probe  # the single probe
 
     def test_quarantine_threadsafe_counting(self):
         breaker = CircuitBreakerRegistry(
@@ -294,7 +294,7 @@ class TestLeasesAndQuarantineUnderConcurrency:
         threads = [
             threading.Thread(
                 target=lambda: trips.extend(
-                    breaker.on_failure(probing=False) for _ in range(10)
+                    breaker.on_failure(breaker.before_call()) for _ in range(10)
                 )
             )
             for _ in range(10)

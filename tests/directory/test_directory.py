@@ -376,7 +376,7 @@ class TestCrawlerQuarantine:
     def test_lease_expiry_gives_domain_another_chance(self):
         breakers = self.make_breakers(1)
         breaker = breakers.breaker_for("bad")
-        assert breaker.on_failure(probing=False) is True
+        assert breaker.on_failure(breaker.before_call()) is True
         assert breaker.state == "open"
         self.clock["t"] = 61.0
         assert breaker.state == "half-open"

@@ -413,7 +413,7 @@ class TestKillAReplicaMidLoad:
 
         from repro.observability import BurnRateRule, observed
         from repro.replication import publish_replicated, watch_replica_set
-        from repro.resilience import EjectionPolicy, ReplicaBalancer
+        from repro.resilience import CircuitPolicy, ReplicaBalancer
         from repro.services import FleetMonitor
         from repro.core import ServiceBroker
 
@@ -438,8 +438,8 @@ class TestKillAReplicaMidLoad:
             balancer = ReplicaBalancer(
                 broker,
                 "Steady",
-                ejection=EjectionPolicy(
-                    consecutive_failures=1, readmit_after=self.READMIT_AFTER
+                ejection=CircuitPolicy(
+                    failure_threshold=1, recovery_seconds=self.READMIT_AFTER
                 ),
             )
             try:

@@ -168,7 +168,7 @@ class TestHealthHandler:
         breaker = breakers.breaker_for("inproc://quote")
         handler = HealthHandler().watch_breakers(breakers)
         assert self._get(handler)[0] == 200
-        breaker.on_failure(probing=False)  # trips at threshold 1
+        breaker.on_failure(breaker.before_call())  # trips at threshold 1
         assert self._get(handler)[0] == 503
 
         quarantine = CircuitBreakerRegistry(CircuitPolicy(recovery_seconds=30))

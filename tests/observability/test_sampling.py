@@ -12,6 +12,7 @@ from repro.observability import (
     mark_trace,
     observed,
 )
+from repro.transport import HttpClient, HttpResponse, HttpServer
 
 SLOW = 0.25
 
@@ -246,3 +247,32 @@ class TestSpanCollectorBound:
         finally:
             stop.set()
             thread.join()
+
+
+class TestServerErrorsAreKept:
+    def test_a_5xx_answer_keeps_its_trace(self):
+        """A handler that answers 503 without raising leaves no failed
+        child span: only the server span's own status can keep the trace."""
+        keeper = SpanCollector()
+        sampler = TailSampler(keeper, slow_threshold=60.0)
+        answers = iter([HttpResponse.error(503, "shedding"), HttpResponse(200)])
+        with observed(sampler):
+            with HttpServer(lambda request: next(answers), workers=1) as server:
+                with HttpClient(server.host, server.port) as client:
+                    assert client.get("/busy").status == 503
+                    assert client.get("/fine").status == 200
+        assert sampler.kept("kept_error") == 1
+        assert sampler.decisions.get("dropped") == 1
+        (kept,) = keeper.spans()
+        assert kept.attributes["http.target"] == "/busy"
+        assert (kept.status, kept.error) == ("error", "HTTP 503")
+
+    def test_a_4xx_answer_is_the_clients_fault(self):
+        keeper = SpanCollector()
+        sampler = TailSampler(keeper, slow_threshold=60.0)
+        with observed(sampler):
+            handler = lambda request: HttpResponse.error(404, "no")  # noqa: E731
+            with HttpServer(handler, workers=1) as server:
+                with HttpClient(server.host, server.port) as client:
+                    assert client.get("/missing").status == 404
+        assert sampler.decisions == {"dropped": 1}

@@ -7,7 +7,6 @@ import pytest
 
 from repro.observability import (
     NOOP_SPAN,
-    NullExporter,
     SpanCollector,
     TraceContext,
     Tracer,
@@ -59,11 +58,6 @@ class TestTracer:
         assert not tracer.sampling
         assert tracer.span("x") is NOOP_SPAN
 
-    def test_null_exporter_keeps_noop_spans(self):
-        tracer = Tracer(NullExporter())
-        assert not tracer.sampling
-        assert tracer.span("x") is NOOP_SPAN
-
     def test_noop_span_is_inert_and_reentrant(self):
         with NOOP_SPAN as outer, NOOP_SPAN as inner:
             assert outer is inner is NOOP_SPAN
@@ -89,18 +83,6 @@ class TestTracer:
         with tracer.span("served", parent=remote) as span:
             assert span.trace_id == 7
             assert span.parent_id == 9
-
-    def test_activate_remote_context_parents_new_spans(self):
-        collector = SpanCollector()
-        tracer = Tracer(collector)
-        token = tracer.activate(TraceContext(trace_id=5, span_id=6))
-        try:
-            with tracer.span("inner") as span:
-                assert span.trace_id == 5
-                assert span.parent_id == 6
-        finally:
-            tracer.deactivate(token)
-        assert tracer.current() is None
 
     def test_span_records_exception_and_duration(self):
         clock = ManualClock()

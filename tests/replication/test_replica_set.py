@@ -16,7 +16,7 @@ from repro.replication import (
     replica_objectives,
     watch_replica_set,
 )
-from repro.resilience import EjectionPolicy, ReplicaBalancer
+from repro.resilience import CircuitPolicy, ReplicaBalancer
 from repro.services import FleetMonitor
 from repro.transport import HttpClient
 
@@ -137,7 +137,7 @@ class TestLifecycle:
             balancer = ReplicaBalancer(
                 broker,
                 "Echo",
-                ejection=EjectionPolicy(consecutive_failures=1, readmit_after=60.0),
+                ejection=CircuitPolicy(failure_threshold=1, recovery_seconds=60.0),
             )
             try:
                 for i in range(8):
@@ -223,7 +223,7 @@ class TestFleetSlos:
             balancer = ReplicaBalancer(
                 broker,
                 "Echo",
-                ejection=EjectionPolicy(consecutive_failures=1, readmit_after=60.0),
+                ejection=CircuitPolicy(failure_threshold=1, recovery_seconds=60.0),
             )
             try:
                 for i in range(4):

@@ -31,10 +31,10 @@ from hypothesis.stateful import (
 
 from repro.core import Endpoint, Service, ServiceBroker, ServiceBus, operation
 from repro.core.faults import ServiceUnavailable, TransportError
-from repro.resilience import EjectionPolicy, ManualClock, ReplicaBalancer
+from repro.resilience import CircuitPolicy, ManualClock, ReplicaBalancer
 
 REPLICAS = 3
-EJECTION = EjectionPolicy(consecutive_failures=2, readmit_after=5.0)
+EJECTION = CircuitPolicy(failure_threshold=2, recovery_seconds=5.0)
 
 #: Where each status sits on the failover ladder (probation replicas
 #: beyond the one probe queue with the live ones).
@@ -120,10 +120,10 @@ class ModelReplica:
             self.cooling_until = max(self.cooling_until, now + retry_after)
         probe = self.ejected and now >= self.ejected_until
         if probe or (
-            not self.ejected and self.failures >= EJECTION.consecutive_failures
+            not self.ejected and self.failures >= EJECTION.failure_threshold
         ):
             self.ejected = True
-            self.ejected_until = now + EJECTION.readmit_after
+            self.ejected_until = now + EJECTION.recovery_seconds
             self.ejections += 1
 
 

@@ -23,7 +23,7 @@ from repro.core import Endpoint, Service, ServiceBroker, ServiceBus, operation
 from repro.core.faults import ServiceFault, ServiceUnavailable, TransportError
 from repro.observability import observed
 from repro.resilience import (
-    EjectionPolicy,
+    CircuitPolicy,
     HedgePolicy,
     ManualClock,
     ReplicaBalancer,
@@ -155,7 +155,7 @@ class TestFailoverAndEjection:
             clock=clock,
             sleep=clock.sleep,
             rng=FirstSample(),
-            ejection=EjectionPolicy(consecutive_failures=3, readmit_after=5.0),
+            ejection=CircuitPolicy(failure_threshold=3, recovery_seconds=5.0),
         )
         # its availability dents slowly (100/101, 100/102...), so it keeps
         # winning P2C and racks up consecutive failures — callers never
@@ -193,7 +193,7 @@ class TestFailoverAndEjection:
             clock=clock,
             sleep=clock.sleep,
             rng=FirstSample(),
-            ejection=EjectionPolicy(consecutive_failures=2, readmit_after=5.0),
+            ejection=CircuitPolicy(failure_threshold=2, recovery_seconds=5.0),
         )
         for _ in range(2):
             balancer("work", {"tag": "x"})
@@ -202,6 +202,36 @@ class TestFailoverAndEjection:
         key0 = next(k for k in balancer.states() if "work-0" in k)
         assert balancer.states()[key0]["status"] == "ejected"
         assert balancer.states()[key0]["ejections"] == 2
+
+    def test_probe_answering_an_application_fault_frees_the_probe(self):
+        """The caller's fault judges no replica: the probe that raised it
+        leaves the replica on probation, and the next call probes again."""
+        clock = ManualClock()
+        bus, broker, replicas, endpoints = replicated(2)
+        preload(broker, endpoints[0], ok=100)
+        preload(broker, endpoints[1], ok=90, faults=10)
+        replicas[0].failure = TransportError("down")
+        balancer = ReplicaBalancer(
+            broker,
+            "WorkService",
+            bus=bus,
+            clock=clock,
+            sleep=clock.sleep,
+            rng=FirstSample(),
+            ejection=CircuitPolicy(failure_threshold=1, recovery_seconds=5.0),
+        )
+        balancer("work", {"tag": "x"})  # ejects replica 0
+        clock.advance(5.0)
+        replicas[0].failure = ServiceFault("bad input", code="Client.BadInput")
+        with pytest.raises(ServiceFault):
+            balancer("work", {"tag": "x"})  # the probe: no failover
+        key0 = next(k for k in balancer.states() if "work-0" in k)
+        assert balancer.states()[key0]["status"] == "probation"
+        replicas[0].failure = None
+        calls = replicas[0].calls
+        assert balancer("work", {"tag": "y"}) == "r0:y"  # probed again
+        assert replicas[0].calls == calls + 1
+        assert balancer.states()[key0]["status"] == "live"
 
     def test_all_replicas_dead_raises_last_failure(self):
         bus, broker, replicas, _ = replicated(2)
@@ -426,8 +456,8 @@ class TestMetrics:
                 clock=clock,
                 sleep=clock.sleep,
                 rng=FirstSample(),
-                ejection=EjectionPolicy(
-                    consecutive_failures=2, readmit_after=1.0
+                ejection=CircuitPolicy(
+                    failure_threshold=2, recovery_seconds=1.0
                 ),
             )
             balancer("work", {"tag": "x"})  # fail over, then succeed

@@ -510,3 +510,34 @@ def test_the_replica_span_joins_the_gateway_rest_call():
 
 def test_the_soap_replica_span_joins_the_gateway_soap_call():
     assert_one_span_per_hop_and_side("soap", SoapEndpoint)
+
+
+def test_a_gateway_answering_502_marks_its_server_span_failed():
+    """A dead REST replica: the gateway answers 502 without raising, and
+    its ``http.server`` span must read ``error``, not only the
+    ``rest.call`` beneath it."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        port = listener.getsockname()[1]  # closed below: connections refused
+    broker = ServiceBroker()
+    broker.publish(
+        Echo.contract(), [Endpoint("rest", f"http://127.0.0.1:{port}/rest/Echo")]
+    )
+    collector = SpanCollector()
+    gateway = Gateway(
+        broker,
+        [GatewayRoute("/rest/Echo", "Echo")],
+        limiter=RateLimiter(OPEN, anonymous=OPEN),
+    )
+    with observed(collector):
+        try:
+            with gateway.start() as front:
+                with HttpClient(front.host, front.port) as client:
+                    response = client.get("/rest/Echo/shout?text=hi")
+        finally:
+            gateway.close()
+    assert response.status == 502
+    (front_span,) = collector.named("http.server")
+    assert front_span.attributes["http.status"] == 502
+    assert (front_span.status, front_span.error) == ("error", "HTTP 502")
+    (call,) = collector.named("rest.call")
+    assert call.status == "error" and call.parent_id == front_span.span_id

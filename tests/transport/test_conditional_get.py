@@ -11,6 +11,8 @@ import socket
 import pytest
 
 from repro.directory.search import ServiceSearchEngine
+from repro.observability import OBS, MetricsRegistry
+from repro.observability.runtime import Instruments
 from repro.services import CreditScoreService, MortgageService, ShardedCache
 from repro.transport import (
     HttpClient,
@@ -201,6 +203,21 @@ class TestClientValidationCache:
         assert stats["hits"] == 1
         assert stats["stores"] == 1
         assert stats["bytes_saved"] == len(first.body)
+
+    def test_no_validation_events_counted_while_observability_is_off(
+        self, monkeypatch
+    ):
+        instruments = Instruments(MetricsRegistry())
+        monkeypatch.setattr(OBS, "instruments", instruments)
+        monkeypatch.setattr(OBS, "enabled", False)
+        with HttpServer(conditional(lambda r: HttpResponse.text_response("doc"))) as srv:
+            with HttpClient(srv.host, srv.port) as client:
+                client.get("/doc")
+                assert client.get("/doc").status == 200  # a 304 revalidation
+                assert client.validation_stats()["hits"] == 1
+        counter = instruments.client_validation
+        assert counter.value(outcome="revalidated") == 0
+        assert counter.value(outcome="stored") == 0
 
     def test_changed_representation_restores(self):
         versions = [b"version one", b"version one", b"version two"]
